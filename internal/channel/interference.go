@@ -193,19 +193,29 @@ func drawExp(rng *rand.Rand, mean float64) float64 {
 // envelope into every tag's waveform reproduces the "tags do not know when
 // there is signal they can reflect" degradation.
 func ExcitationGate(rng *rand.Rand, n int, sampleRateHz, onSec, offSec float64) []float64 {
+	return ExcitationGateInto(nil, rng, n, sampleRateHz, onSec, offSec)
+}
+
+// ExcitationGateInto is ExcitationGate writing the n-sample envelope into
+// dst (grown as needed, fully overwritten) and returning it.
+func ExcitationGateInto(dst []float64, rng *rand.Rand, n int, sampleRateHz, onSec, offSec float64) []float64 {
 	if onSec <= 0 {
 		onSec = 2e-3
 	}
 	if offSec <= 0 {
 		offSec = 1e-3
 	}
-	out := make([]float64, n)
+	if cap(dst) < n {
+		dst = make([]float64, n)
+	}
+	out := dst[:n]
 	on := rng.Float64() < onSec/(onSec+offSec)
 	remaining := drawExp(rng, onSec*sampleRateHz)
 	if !on {
 		remaining = drawExp(rng, offSec*sampleRateHz)
 	}
 	for i := 0; i < n; i++ {
+		out[i] = 0
 		if on {
 			out[i] = 1
 		}

@@ -195,3 +195,47 @@ func TestMultipathDelaysQuantize(t *testing.T) {
 		t.Errorf("delays %v, want [0 4 8]", delays)
 	}
 }
+
+// TestIntoFormsOverwriteReusedStorage is the reuse contract of the Into
+// forms: writing into a dirty, oversized buffer gives exactly what a fresh
+// call on the same stream gives — the round arenas rely on it.
+func TestIntoFormsOverwriteReusedStorage(t *testing.T) {
+	x := make([]complex128, 3000)
+	for i := range x {
+		x[i] = complex(float64(i%7), -float64(i%5))
+	}
+	dirtyC := func() []complex128 {
+		d := make([]complex128, 4000)
+		for i := range d {
+			d[i] = complex(9, 9)
+		}
+		return d
+	}
+	for _, taps := range []int{1, 3, 10} { // 10 exceeds the stack tap buffer
+		m := Multipath{Taps: taps, TapSpacingSec: 50e-9, DecayDB: 3}
+		want := m.Apply(rand.New(rand.NewSource(21)), x, 20e6)
+		got := m.ApplyInto(dirtyC(), rand.New(rand.NewSource(21)), x, 20e6)
+		if len(got) != len(want) {
+			t.Fatalf("taps=%d: ApplyInto len %d, want %d", taps, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("taps=%d: sample %d: ApplyInto %v, Apply %v", taps, i, got[i], want[i])
+			}
+		}
+	}
+	want := ExcitationGate(rand.New(rand.NewSource(22)), 3000, 1e6, 2e-4, 1e-4)
+	dirty := make([]float64, 4000)
+	for i := range dirty {
+		dirty[i] = 7
+	}
+	got := ExcitationGateInto(dirty, rand.New(rand.NewSource(22)), 3000, 1e6, 2e-4, 1e-4)
+	if len(got) != len(want) {
+		t.Fatalf("ExcitationGateInto len %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("gate sample %d: Into %v, fresh %v", i, got[i], want[i])
+		}
+	}
+}

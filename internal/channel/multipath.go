@@ -31,18 +31,22 @@ func DefaultMultipath() Multipath {
 // integer sample delays at the given rate. Taps that round to the same
 // sample delay merge implicitly when applied.
 func (m Multipath) Realize(rng *rand.Rand, sampleRateHz float64) (coeffs []complex128, delays []int) {
+	return m.realizeInto(nil, nil, rng, sampleRateHz)
+}
+
+// realizeInto is Realize appending to caller storage (cleared first).
+func (m Multipath) realizeInto(coeffs []complex128, delays []int, rng *rand.Rand, sampleRateHz float64) ([]complex128, []int) {
 	taps := m.Taps
 	if taps < 1 {
 		taps = 1
 	}
-	coeffs = make([]complex128, taps)
-	delays = make([]int, taps)
-	coeffs[0] = 1
+	coeffs = append(coeffs[:0], 1)
+	delays = append(delays[:0], 0)
 	for k := 1; k < taps; k++ {
 		p := dsp.FromDB(-m.DecayDB * float64(k))
 		sigma := math.Sqrt(p / 2)
-		coeffs[k] = complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())
-		delays[k] = int(math.Round(m.TapSpacingSec * float64(k) * sampleRateHz))
+		coeffs = append(coeffs, complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64()))
+		delays = append(delays, int(math.Round(m.TapSpacingSec*float64(k)*sampleRateHz)))
 	}
 	return coeffs, delays
 }
@@ -51,7 +55,17 @@ func (m Multipath) Realize(rng *rand.Rand, sampleRateHz float64) (coeffs []compl
 // the same length (echoes beyond the window are truncated). Total power is
 // normalized so multipath redistributes rather than adds energy on average.
 func (m Multipath) Apply(rng *rand.Rand, samples []complex128, sampleRateHz float64) []complex128 {
-	coeffs, delays := m.Realize(rng, sampleRateHz)
+	return m.ApplyInto(nil, rng, samples, sampleRateHz)
+}
+
+// ApplyInto is Apply writing the convolved samples into dst (grown as
+// needed, fully overwritten) and returning it. dst must not alias samples.
+// Profiles of up to eight taps realize into stack storage, so with a
+// large enough dst the call does not allocate.
+func (m Multipath) ApplyInto(dst []complex128, rng *rand.Rand, samples []complex128, sampleRateHz float64) []complex128 {
+	var cbuf [8]complex128
+	var dbuf [8]int
+	coeffs, delays := m.realizeInto(cbuf[:0], dbuf[:0], rng, sampleRateHz)
 	var norm float64
 	for _, c := range coeffs {
 		norm += real(c)*real(c) + imag(c)*imag(c)
@@ -60,7 +74,13 @@ func (m Multipath) Apply(rng *rand.Rand, samples []complex128, sampleRateHz floa
 		norm = 1
 	}
 	scale := complex(1/math.Sqrt(norm), 0)
-	out := make([]complex128, len(samples))
+	if cap(dst) < len(samples) {
+		dst = make([]complex128, len(samples))
+	}
+	out := dst[:len(samples)]
+	for i := range out {
+		out[i] = 0
+	}
 	for k, c := range coeffs {
 		c *= scale
 		d := delays[k]

@@ -144,16 +144,17 @@ func FractionalDelay(x []complex128, d float64) []complex128 {
 //
 //cbma:hotpath
 func FractionalDelayInPlace(x []complex128, d float64) {
-	if d <= 0 {
+	if d <= 0 || len(x) == 0 {
 		return
 	}
-	for i := len(x) - 1; i >= 0; i-- {
-		var a complex128
-		if i > 0 {
-			a = x[i-1]
-		}
-		x[i] = x[i]*complex(1-d, 0) + a*complex(d, 0)
+	for i := len(x) - 1; i > 0; i-- {
+		x[i] = x[i]*complex(1-d, 0) + x[i-1]*complex(d, 0)
 	}
+	// The first sample's predecessor is zero. Adding the zero product
+	// (rather than dropping the term) keeps FractionalDelay's exact
+	// result: it turns a -0 component into +0.
+	var zero complex128
+	x[0] = x[0]*complex(1-d, 0) + zero*complex(d, 0)
 }
 
 // ShiftInt delays (d > 0) or advances (d < 0) x by an integer number of

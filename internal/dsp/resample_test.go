@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -227,4 +228,30 @@ func TestShiftIntRoundTripEnergyProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestFractionalDelayInPlaceBitExact pins the in-place filter to
+// FractionalDelay bit for bit, including the signed zeros the peeled first
+// sample must reproduce.
+func TestFractionalDelayInPlaceBitExact(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rng := rand.New(rand.NewSource(5))
+	x := []complex128{complex(negZero, negZero), complex(negZero, 1), 3 - 2i}
+	for i := 0; i < 64; i++ {
+		x = append(x, complex(rng.NormFloat64(), rng.NormFloat64()))
+	}
+	for _, d := range []float64{0.25, 0.5, 0.999} {
+		for _, in := range [][]complex128{x, x[:1], x[1:2]} {
+			want := FractionalDelay(in, d)
+			got := append([]complex128(nil), in...)
+			FractionalDelayInPlace(got, d)
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("d=%v len=%d sample %d: in place %v, reference %v", d, len(in), i, got[i], want[i])
+				}
+			}
+		}
+	}
+	FractionalDelayInPlace(nil, 0.5) // empty input is a no-op
 }

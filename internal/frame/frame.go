@@ -16,6 +16,12 @@ const MaxPayload = 126
 // DefaultPreambleBits is the paper's one-byte preamble {10101010}.
 const DefaultPreambleBits = 8
 
+// MaxBits is the longest marshalled frame in bits: the 64-bit maximum
+// preamble, the length byte, MaxPayload payload bytes and the CRC. A
+// [MaxBits]byte array holds any frame's bit stream, which lets hot loops
+// marshal into stack storage (AppendBits) instead of the heap.
+const MaxBits = 64 + 8 + 8*MaxPayload + 16
+
 // Errors returned by the framer.
 var (
 	ErrPayloadTooLarge = errors.New("frame: payload exceeds 126 bytes")
@@ -83,22 +89,36 @@ func (c Config) BitLength(p int) (int, error) {
 // length byte (payload size in bytes), payload bytes MSB-first, and the
 // CRC-16/CCITT-FALSE of length+payload.
 func Marshal(payload []byte, cfg Config) ([]byte, error) {
-	if len(payload) > MaxPayload {
-		return nil, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
-	}
-	pre, err := cfg.Preamble()
+	n, _ := cfg.preambleBits() // AppendBits reports an invalid preamble
+	bits, err := AppendBits(make([]byte, 0, n+8+8*len(payload)+16), payload, cfg)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, 1+len(payload))
-	body = append(body, byte(len(payload)))
-	body = append(body, payload...)
-	crc := Checksum(body)
-	bits := make([]byte, 0, len(pre)+8*len(body)+16)
-	bits = append(bits, pre...)
-	bits = appendByteBits(bits, body...)
-	bits = appendByteBits(bits, byte(crc>>8), byte(crc))
 	return bits, nil
+}
+
+// AppendBits appends payload's marshalled bit stream (see Marshal) to dst
+// and returns the extended slice. It allocates only when dst lacks the
+// capacity, so callers that own a [MaxBits]byte buffer marshal for free.
+func AppendBits(dst, payload []byte, cfg Config) ([]byte, error) {
+	if len(payload) > MaxPayload {
+		return dst, fmt.Errorf("%w: %d bytes", ErrPayloadTooLarge, len(payload))
+	}
+	n, err := cfg.preambleBits()
+	if err != nil {
+		return dst, err
+	}
+	for i := 0; i < n; i++ {
+		dst = append(dst, byte((i+1)%2)) // 1,0,1,0,… as in Preamble
+	}
+	length := byte(len(payload))
+	crc := checksumUpdate(0xFFFF, length)
+	dst = appendByteBits(dst, length)
+	for _, b := range payload {
+		crc = checksumUpdate(crc, b)
+		dst = appendByteBits(dst, b)
+	}
+	return appendByteBits(dst, byte(crc>>8), byte(crc)), nil
 }
 
 // Unmarshal parses a bit stream produced by Marshal (or recovered by the

@@ -37,12 +37,12 @@ func magnitudeWindowInto(dst []float64, x []complex128, lo, hi int) []float64 {
 }
 
 // refineEdgePrefix is refineEdge with the per-position 16-sample rescan
-// replaced by an O(1) prefix-sum window (r.powerPrefix, built once per
-// buffer by receive). Scan bounds, thresholds and the returned edge match
+// replaced by an O(1) prefix-sum window (prefix, the power prefix sums
+// receive builds once per buffer). Scan bounds, thresholds and the returned edge match
 // the reference; only the window sum's floating-point association differs.
 //
 //cbma:hotpath
-func (r *Receiver) refineEdgePrefix(power []float64, coarse int, noiseW float64) int {
+func (r *Receiver) refineEdgePrefix(power, prefix []float64, coarse int, noiseW float64) int {
 	const win = 16
 	lo := coarse - r.cfg.SamplesPerChip
 	if lo < 0 {
@@ -56,7 +56,7 @@ func (r *Receiver) refineEdgePrefix(power []float64, coarse int, noiseW float64)
 		return coarse
 	}
 	thresh := 3 * noiseW * win
-	p := r.powerPrefix
+	p := prefix
 	for j := lo; j <= hi; j++ {
 		if p[j+win]-p[j] <= thresh {
 			continue
@@ -155,7 +155,7 @@ func (r *Receiver) refineSample(env []float64, lo, hi, stride, edge, bestLag int
 // rate — simply run the reference scan, with identical results.
 //
 //cbma:hotpath
-func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
+func (r *Receiver) alignCoarseFine(s *Scratch, env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
 	tmplLen := len(r.preambleTmpl[0])
 	spc := r.cfg.SamplesPerChip
 	slack := spc * 2
@@ -176,7 +176,7 @@ func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, n
 	}
 	edge := nominalStart
 	if edge < 0 {
-		edge = r.refineEdgePrefix(power, coarse, noiseW)
+		edge = r.refineEdgePrefix(power, s.powerPrefix, coarse, noiseW)
 	}
 	if spc < 2 || hi-lo <= 4*spc {
 		bestLag, bestScore := r.scanStride(env, lo, stride, lo, hi, edge, lo, -1.0)
@@ -187,14 +187,14 @@ func (r *Receiver) alignCoarseFine(env []float64, power []float64, coarse int, n
 	// against the chip-rate templates. Scores at chip-aligned lags equal
 	// the exact scores there up to floating-point association.
 	span := env[lo : hi+tmplLen]
-	chips, err := dsp.DownsampleSumInto(r.envChips, span, spc)
+	chips, err := dsp.DownsampleSumInto(s.envChips, span, spc)
 	if err != nil {
 		// Unreachable (spc ≥ 2), but degrade to the reference scan rather
 		// than mis-align.
 		bestLag, bestScore := r.scanStride(env, lo, stride, lo, hi, edge, lo, -1.0)
 		return r.refineSample(env, lo, hi, stride, edge, bestLag, bestScore)
 	}
-	r.envChips = chips
+	s.envChips = chips
 	nChips := len(r.chipTmpl[0])
 	cMax := (hi - lo) / spc
 	if m := len(chips) - nChips; cMax > m {

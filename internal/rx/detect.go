@@ -46,7 +46,7 @@ type sweep struct {
 // configuration — stay bit-identical with the naive scan). The returned
 // sweep aliases receiver scratch: it is valid until the next buildSweep
 // call and must not outlive it.
-func (r *Receiver) buildSweep(env []float64, x []complex128, globalStart int) *sweep {
+func (r *Receiver) buildSweep(s *Scratch, env []float64, x []complex128, globalStart int) *sweep {
 	lo, hi, ok := r.searchWindow(globalStart, len(x))
 	if !ok {
 		return nil
@@ -56,12 +56,12 @@ func (r *Receiver) buildSweep(env []float64, x []complex128, globalStart int) *s
 	if !r.bank.ShouldUseFFT(count, n, true) {
 		return nil
 	}
-	r.cohRows = growComplexRows(r.cohRows, n, count)
-	if err := r.bank.CorrelateAll(x, lo, count, nil, r.cohRows); err != nil {
+	s.cohRows = growComplexRows(s.cohRows, n, count)
+	if err := r.bank.CorrelateAll(x, lo, count, nil, s.cohRows); err != nil {
 		r.noteFFTFallback("sweep", err)
 		return nil
 	}
-	sw := &sweep{lo: lo, count: count, coh: r.cohRows}
+	sw := &sweep{lo: lo, count: count, coh: s.cohRows}
 	if r.anySparse {
 		var sparseIDs []int
 		for id, sp := range r.sparse {
@@ -69,12 +69,12 @@ func (r *Receiver) buildSweep(env []float64, x []complex128, globalStart int) *s
 				sparseIDs = append(sparseIDs, id)
 			}
 		}
-		r.envRows = growFloatRows(r.envRows, n, count)
+		s.envRows = growFloatRows(s.envRows, n, count)
 		rows := make([][]float64, len(sparseIDs))
 		sw.env = make([][]float64, n)
 		for j, id := range sparseIDs {
-			rows[j] = r.envRows[id]
-			sw.env[id] = r.envRows[id]
+			rows[j] = s.envRows[id]
+			sw.env[id] = s.envRows[id]
 		}
 		if err := r.bank.CorrelateRealAll(env, lo, count, sparseIDs, rows); err != nil {
 			r.noteFFTFallback("sweep_env", err)
@@ -167,7 +167,7 @@ func growComplexRows(rows [][]complex128, n, count int) [][]complex128 {
 // at random among the shifts. The prior is gentle enough (half weight at
 // four chips) that a genuine multi-tag correlation peak still dominates
 // when the edge estimate is noisy.
-func (r *Receiver) globalAlign(env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
+func (r *Receiver) globalAlign(s *Scratch, env []float64, power []float64, coarse int, noiseW float64, nominalStart int) (int, bool) {
 	tmplLen := len(r.preambleTmpl[0])
 	slack := r.cfg.SamplesPerChip * 2
 	lo := coarse - slack
@@ -204,9 +204,9 @@ func (r *Receiver) globalAlign(env []float64, power []float64, coarse int, noise
 		return c
 	}
 	if r.bank.ShouldUseFFT(count, len(r.preambleTmpl), false) {
-		r.alignRows = growFloatRows(r.alignRows, len(r.preambleTmpl), count)
-		if err := r.bank.CorrelateRealAll(env, lo, count, nil, r.alignRows); err == nil {
-			rows := r.alignRows
+		s.alignRows = growFloatRows(s.alignRows, len(r.preambleTmpl), count)
+		if err := r.bank.CorrelateRealAll(env, lo, count, nil, s.alignRows); err == nil {
+			rows := s.alignRows
 			corrAt = func(id, lag int) float64 { return rows[id][lag-lo] }
 		} else {
 			r.noteFFTFallback("align", err)
@@ -448,9 +448,9 @@ func (r *Receiver) pickLagFromSweep(sw *sweep, id int) int {
 // buffer, sweep rows and templates, and write code-indexed slots — so
 // Receive stays sequential-safe for callers. Frames return in code order,
 // matching the serial path.
-func (r *Receiver) detectAndDecodeAll(env []float64, x []complex128, globalStart int, noiseW float64) []DecodedFrame {
+func (r *Receiver) detectAndDecodeAll(s *Scratch, env []float64, x []complex128, globalStart int, noiseW float64) []DecodedFrame {
 	n := r.cfg.Codes.Size()
-	sw := r.buildSweep(env, x, globalStart)
+	sw := r.buildSweep(s, env, x, globalStart)
 	workers := r.workerCount(n)
 	if workers <= 1 {
 		var frames []DecodedFrame
@@ -512,8 +512,8 @@ func (r *Receiver) detectAndDecodeAll(env []float64, x []complex128, globalStart
 // detectBest scans the given codes and returns the one with the strongest
 // detection — the SIC ordering primitive — fanning out across the worker
 // pool when configured. Ties break toward the lowest code ID in both paths.
-func (r *Receiver) detectBest(ids []int, env []float64, x []complex128, globalStart int, noiseW float64) (int, detection, bool) {
-	sw := r.buildSweep(env, x, globalStart)
+func (r *Receiver) detectBest(s *Scratch, ids []int, env []float64, x []complex128, globalStart int, noiseW float64) (int, detection, bool) {
+	sw := r.buildSweep(s, env, x, globalStart)
 	workers := r.workerCount(len(ids))
 	if workers <= 1 {
 		bestID := -1

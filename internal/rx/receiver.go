@@ -166,22 +166,6 @@ type Receiver struct {
 	// and the detection sweep when the window is large enough (see
 	// dsp.FilterBank.ShouldUseFFT).
 	bank *dsp.FilterBank
-	// Per-call scratch, reused across Receive calls (the reason a Receiver
-	// is not safe for concurrent use): instantaneous power and envelope of
-	// the buffer, per-code correlation rows for the alignment and
-	// detection sweeps, and the SIC residual buffers.
-	power     []float64
-	env       []float64
-	alignRows [][]float64
-	envRows   [][]float64
-	cohRows   [][]complex128
-	sicWork   []complex128
-	sicEnv    []float64
-	// Fast sync-path scratch: the buffer's power prefix sums (every
-	// moving-window statistic of the sync stage reads them in O(1)) and
-	// the chip-rate decimated envelope of the alignment span.
-	powerPrefix []float64
-	envChips    []float64
 	// Telemetry instruments, pre-resolved at construction (nil-safe no-ops
 	// without Config.Obs). Clones share them: the histograms are atomic, so
 	// parallel round workers aggregate into the same phase timings.
@@ -191,6 +175,28 @@ type Receiver struct {
 	hDecode      *obs.Histogram
 	cResync      *obs.Counter
 	cFFTFallback *obs.Counter
+}
+
+// Scratch is the working storage of one receive call: instantaneous power
+// and envelope of the buffer, per-code correlation rows for the alignment
+// and detection sweeps, the SIC residual buffers, and the fast sync path's
+// power prefix sums (every moving-window statistic of the sync stage reads
+// them in O(1)) and chip-rate decimated envelope. Every buffer is resized
+// and then fully overwritten (or zeroed) by the call that uses it, so a
+// Scratch carries no state between calls and one value may serve any
+// sequence of receivers, whatever their code sets or buffer lengths. The
+// zero value is ready to use; a Scratch must not be used by two calls at
+// once.
+type Scratch struct {
+	power       []float64
+	env         []float64
+	powerPrefix []float64
+	envChips    []float64
+	alignRows   [][]float64
+	envRows     [][]float64
+	cohRows     [][]complex128
+	sicWork     []complex128
+	sicEnv      []float64
 }
 
 // New builds a receiver and precomputes the per-code correlation templates.
@@ -254,11 +260,12 @@ func New(cfg Config) (*Receiver, error) {
 func (r *Receiver) Config() Config { return r.cfg }
 
 // Clone returns a receiver that shares r's immutable template tables but
-// owns its own per-call scratch, so the clone and r (and further clones)
-// may run Receive concurrently on different goroutines. The clone's filter
-// bank shares r's precomputed frequency-domain template spectra (guarded
-// inside the bank) with its own query scratch — parallel round workers no
-// longer redo the forward transforms the original already paid for.
+// owns its own filter-bank query scratch, so the clone and r (and further
+// clones) may run receive calls concurrently on different goroutines, each
+// with its own Scratch. The clone's filter bank shares r's precomputed
+// frequency-domain template spectra (guarded inside the bank) — parallel
+// round workers do not redo the forward transforms the original already
+// paid for.
 func (r *Receiver) Clone() *Receiver {
 	return &Receiver{
 		cfg:          r.cfg,
@@ -329,9 +336,10 @@ func (res Result) AckIDs() []int {
 // Receive runs the full §III-B pipeline over one sample buffer with no
 // external timing reference: the frame-start anchor is estimated from the
 // energy-rise edge. See ReceiveAt for when the reader knows the reply
-// timing.
+// timing. Receive allocates its working storage per call; loops that
+// decode buffer after buffer pass a reused Scratch to ReceiveAtWith.
 func (r *Receiver) Receive(samples []complex128) (Result, error) {
-	return r.receive(samples, -1)
+	return r.receive(new(Scratch), samples, -1)
 }
 
 // ReceiveAt is Receive with a reader-side timing hint: nominalStart is the
@@ -343,10 +351,17 @@ func (r *Receiver) Receive(samples []complex128) (Result, error) {
 // only the slot, not the frame start, and every slot shift is otherwise an
 // equally valid alignment under a different identity.
 func (r *Receiver) ReceiveAt(samples []complex128, nominalStart int) (Result, error) {
-	return r.receive(samples, nominalStart)
+	return r.receive(new(Scratch), samples, nominalStart)
 }
 
-func (r *Receiver) receive(samples []complex128, nominalStart int) (Result, error) {
+// ReceiveAtWith is ReceiveAt working in the caller's Scratch instead of
+// fresh storage — the simulation engine's per-round entry point. The
+// Result never aliases s.
+func (r *Receiver) ReceiveAtWith(s *Scratch, samples []complex128, nominalStart int) (Result, error) {
+	return r.receive(s, samples, nominalStart)
+}
+
+func (r *Receiver) receive(s *Scratch, samples []complex128, nominalStart int) (Result, error) {
 	var res Result
 	if len(samples) == 0 {
 		return res, dsp.ErrEmptyInput
@@ -354,16 +369,16 @@ func (r *Receiver) receive(samples []complex128, nominalStart int) (Result, erro
 	// The sync span covers the whole timing-acquisition phase: energy
 	// detection, noise estimation and the fine global alignment.
 	sp := r.obs.Start(r.hSync)
-	r.power = dsp.MagSquaredInto(r.power, samples)
-	power := r.power
+	s.power = dsp.MagSquaredInto(s.power, samples)
+	power := s.power
 	ref := r.cfg.ReferenceSync
 	var start int
 	var found bool
 	if ref {
 		start, found = EnergyDetect(power, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
 	} else {
-		r.powerPrefix = dsp.PrefixSumInto(r.powerPrefix, power)
-		start, found = energyDetectPrefix(r.powerPrefix, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
+		s.powerPrefix = dsp.PrefixSumInto(s.powerPrefix, power)
+		start, found = energyDetectPrefix(s.powerPrefix, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
 	}
 	resync := r.cfg.ResyncFallback && nominalStart >= 0 && nominalStart < len(samples)
 	if !found {
@@ -384,18 +399,18 @@ func (r *Receiver) receive(samples []complex128, nominalStart int) (Result, erro
 	if ref || r.cfg.SIC {
 		// The SIC loop re-derives the envelope over the whole buffer after
 		// each cancellation, so a partial fill buys nothing there.
-		r.env = dsp.MagnitudeInto(r.env, samples)
+		s.env = dsp.MagnitudeInto(s.env, samples)
 	} else {
 		elo, ehi := r.envWindow(start, nominalStart, len(samples))
-		r.env = magnitudeWindowInto(r.env, samples, elo, ehi)
+		s.env = magnitudeWindowInto(s.env, samples, elo, ehi)
 	}
-	env := r.env
+	env := s.env
 	var globalStart int
 	var ok bool
 	if ref {
-		globalStart, ok = r.globalAlign(env, power, start, res.NoiseW, nominalStart)
+		globalStart, ok = r.globalAlign(s, env, power, start, res.NoiseW, nominalStart)
 	} else {
-		globalStart, ok = r.alignCoarseFine(env, power, start, res.NoiseW, nominalStart)
+		globalStart, ok = r.alignCoarseFine(s, env, power, start, res.NoiseW, nominalStart)
 	}
 	if !ok {
 		if !resync {
@@ -411,9 +426,9 @@ func (r *Receiver) receive(samples []complex128, nominalStart int) (Result, erro
 	}
 	res.GlobalStart = globalStart
 	if r.cfg.SIC {
-		r.receiveSIC(samples, &res, env, globalStart)
+		r.receiveSIC(s, samples, &res, env, globalStart)
 	} else {
-		res.Frames = r.detectAndDecodeAll(env, samples, globalStart, res.NoiseW)
+		res.Frames = r.detectAndDecodeAll(s, env, samples, globalStart, res.NoiseW)
 	}
 	for i := range res.Frames {
 		f := &res.Frames[i]

@@ -31,17 +31,17 @@ var ErrGhost = errors.New("rx: duplicate-payload correlation ghost suppressed")
 // power-control experiments leave it off to preserve the paper's plain
 // §III-B receiver, whose near-far weakness is exactly what Algorithm 1
 // addresses; the detector ablation bench quantifies the difference.
-func (r *Receiver) receiveSIC(samples []complex128, res *Result, env []float64, globalStart int) {
+func (r *Receiver) receiveSIC(s *Scratch, samples []complex128, res *Result, env []float64, globalStart int) {
 	noiseW := res.NoiseW
-	if cap(r.sicWork) < len(samples) {
-		r.sicWork = make([]complex128, len(samples))
+	if cap(s.sicWork) < len(samples) {
+		s.sicWork = make([]complex128, len(samples))
 	}
-	work := r.sicWork[:len(samples)]
+	work := s.sicWork[:len(samples)]
 	copy(work, samples)
-	if cap(r.sicEnv) < len(env) {
-		r.sicEnv = make([]float64, len(env))
+	if cap(s.sicEnv) < len(env) {
+		s.sicEnv = make([]float64, len(env))
 	}
-	envWork := r.sicEnv[:len(env)]
+	envWork := s.sicEnv[:len(env)]
 	copy(envWork, env)
 
 	var accepted []sicUser
@@ -53,7 +53,11 @@ func (r *Receiver) receiveSIC(samples []complex128, res *Result, env []float64, 
 		remaining = append(remaining, id)
 	}
 	for len(remaining) > 0 {
-		bestID, bestDet, found := r.detectBest(remaining, envWork, work, globalStart, noiseW)
+		// Each pass times its detection sweep as rx.phase.detect and its
+		// decode-and-cancel step as rx.phase.decode, like the plain path.
+		detSp := r.obs.Start(r.hDetect)
+		bestID, bestDet, found := r.detectBest(s, remaining, envWork, work, globalStart, noiseW)
+		detSp.End()
 		if !found {
 			break
 		}
@@ -63,40 +67,52 @@ func (r *Receiver) receiveSIC(samples []complex128, res *Result, env []float64, 
 				break
 			}
 		}
-		f := r.decodeUser(work, bestID, bestDet.lag, bestDet.phasor)
-		f.Corr = bestDet.corr
-		res.Frames = append(res.Frames, f)
-		if !f.OK {
-			continue // cannot reconstruct an unverified frame
-		}
-		bits, err := frame.Marshal(f.Payload, r.cfg.Frame)
-		if err != nil {
-			continue // cannot happen for a CRC-verified payload; fail open
-		}
-		accepted = append(accepted, sicUser{
-			id:    bestID,
-			lag:   f.Lag,
-			chips: r.cfg.Codes.Codes[bestID].Spread(bits),
-		})
-		// Joint LS re-fit of every accepted amplitude against the original
-		// buffer, then rebuild the working residual. Per-user scalar fits
-		// leave 10–30% residuals when supports overlap; the joint solve
-		// drives the residual to the noise floor.
-		amps, ok := r.jointAmplitudes(samples, accepted)
-		if !ok {
-			continue
-		}
-		copy(work, samples)
-		spc := r.cfg.SamplesPerChip
-		for u := range accepted {
-			subtractWaveform(work, accepted[u].lag, accepted[u].chips, spc, amps[u])
-		}
-		for i := range work {
-			re, im := real(work[i]), imag(work[i])
-			envWork[i] = math.Sqrt(re*re + im*im)
-		}
+		decSp := r.obs.Start(r.hDecode)
+		accepted = r.decodeAndCancel(samples, work, envWork, res, accepted, bestID, bestDet)
+		decSp.End()
 	}
 	suppressGhosts(res.Frames)
+}
+
+// decodeAndCancel is one SIC pass after detection: it decodes the chosen
+// user from the working residual and, when the frame verifies, adds it to
+// the accepted set, re-fits every accepted amplitude and rebuilds the
+// residual (work) and its envelope (envWork) from the original samples.
+// It returns the (possibly grown) accepted set.
+func (r *Receiver) decodeAndCancel(samples, work []complex128, envWork []float64, res *Result, accepted []sicUser, id int, det detection) []sicUser {
+	f := r.decodeUser(work, id, det.lag, det.phasor)
+	f.Corr = det.corr
+	res.Frames = append(res.Frames, f)
+	if !f.OK {
+		return accepted // cannot reconstruct an unverified frame
+	}
+	bits, err := frame.Marshal(f.Payload, r.cfg.Frame)
+	if err != nil {
+		return accepted // cannot happen for a CRC-verified payload; fail open
+	}
+	accepted = append(accepted, sicUser{
+		id:    id,
+		lag:   f.Lag,
+		chips: r.cfg.Codes.Codes[id].Spread(bits),
+	})
+	// Joint LS re-fit of every accepted amplitude against the original
+	// buffer, then rebuild the working residual. Per-user scalar fits
+	// leave 10–30% residuals when supports overlap; the joint solve
+	// drives the residual to the noise floor.
+	amps, ok := r.jointAmplitudes(samples, accepted)
+	if !ok {
+		return accepted
+	}
+	copy(work, samples)
+	spc := r.cfg.SamplesPerChip
+	for u := range accepted {
+		subtractWaveform(work, accepted[u].lag, accepted[u].chips, spc, amps[u])
+	}
+	for i := range work {
+		re, im := real(work[i]), imag(work[i])
+		envWork[i] = math.Sqrt(re*re + im*im)
+	}
+	return accepted
 }
 
 // sicUser is one accepted (CRC-verified) transmission being cancelled.

@@ -53,7 +53,7 @@ func BenchmarkEnergyDetectPrefix(b *testing.B) {
 // benchAlignState precomputes everything receive() hands the alignment
 // stage on the 10-tag gold31 collision: the power and envelope vectors,
 // the prefix sums, the coarse detector start and the noise estimate.
-func benchAlignState(b *testing.B) (r *Receiver, env, power []float64, coarse int, noiseW float64) {
+func benchAlignState(b *testing.B) (r *Receiver, s *Scratch, env, power []float64, coarse int, noiseW float64) {
 	b.Helper()
 	set, err := pn.NewGoldSet(5, 10)
 	if err != nil {
@@ -75,32 +75,32 @@ func benchAlignState(b *testing.B) (r *Receiver, env, power []float64, coarse in
 
 	power = dsp.MagSquaredInto(nil, sig)
 	env = dsp.MagnitudeInto(nil, sig)
-	r.powerPrefix = dsp.PrefixSumInto(r.powerPrefix, power)
+	s = &Scratch{powerPrefix: dsp.PrefixSumInto(nil, power)}
 	coarse, found := EnergyDetect(power, r.cfg.SyncWindow, r.cfg.SyncThresholdDB, r.shortWindow())
 	if !found {
 		b.Fatal("benchmark scenario must be detectable")
 	}
 	noiseW = r.noiseEstimate(power, coarse)
-	return r, env, power, coarse, noiseW
+	return r, s, env, power, coarse, noiseW
 }
 
 func BenchmarkGlobalAlign(b *testing.B) {
-	r, env, power, coarse, noiseW := benchAlignState(b)
+	r, s, env, power, coarse, noiseW := benchAlignState(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := r.globalAlign(env, power, coarse, noiseW, -1); !ok {
+		if _, ok := r.globalAlign(s, env, power, coarse, noiseW, -1); !ok {
 			b.Fatal("alignment must succeed")
 		}
 	}
 }
 
 func BenchmarkGlobalAlignCoarseFine(b *testing.B) {
-	r, env, power, coarse, noiseW := benchAlignState(b)
+	r, s, env, power, coarse, noiseW := benchAlignState(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := r.alignCoarseFine(env, power, coarse, noiseW, -1); !ok {
+		if _, ok := r.alignCoarseFine(s, env, power, coarse, noiseW, -1); !ok {
 			b.Fatal("alignment must succeed")
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -43,8 +44,10 @@ type Engine struct {
 	// emulation (see RecordTo / ReplayFrom).
 	recorder *trace.Recorder
 	player   *trace.Player
-	// round is the serial path's scratch; parallel workers own clones.
-	round roundBuffers
+	// frameSamples is the length of every tag's frame waveform; mixSpan
+	// bounds a round's mixing-buffer length (see mixSpanFor).
+	frameSamples int
+	mixSpan      int
 	// runSeq distinguishes repeated Run/RunSchedule calls on one engine in
 	// the stream derivation, so every placement of a deployment study sees
 	// fresh randomness; adhocRound is the monotonic index of the serially
@@ -126,8 +129,10 @@ func NewEngine(scn Scenario) (*Engine, error) {
 			return nil, err
 		}
 	}
-	// Construction-time draws come from the phaseSetup stream node.
-	setup := newRoundStreams(scn.Seed, 0, phaseSetup, 0)
+	// Construction-time draws come from the phaseSetup stream node, on
+	// generators of their own: the fault injector keeps its setup stream.
+	var setupGens [numStreams]*rand.Rand
+	setup := newRoundStreams(scn.Seed, 0, phaseSetup, 0, &setupGens)
 	if scn.RandomInitialImpedance {
 		states := tag.NumImpedanceStates
 		if scn.ImpedanceStates > 0 {
@@ -167,7 +172,36 @@ func NewEngine(scn Scenario) (*Engine, error) {
 	if e.leadSamples < 256 {
 		e.leadSamples = 256
 	}
+	frameChips, err := e.tags[0].FrameChips(scn.PayloadBytes)
+	if err != nil {
+		return nil, fmt.Errorf("sim: frame length: %w", err)
+	}
+	e.frameSamples = frameChips * spc
+	e.mixSpan = e.mixSpanFor()
 	return e, nil
+}
+
+// mixSpanFor bounds the mixing-buffer length of any round: the noise lead,
+// the widest relative tag delay the scenario's jitter, fixed extra delays
+// and fault-layer clock errors can produce, one frame, and the noise tail. Arenas size a fresh mixing buffer to it, so jitter never
+// regrows the buffer mid-run. (A replayed trace can exceed it; mixFor then
+// grows, which is correct, just not free.)
+func (e *Engine) mixSpanFor() int {
+	spreadChips := e.scn.JitterChips
+	var lo, hi float64
+	for i, d := range e.scn.ExtraDelayChips {
+		if i < e.scn.NumTags {
+			lo, hi = min(lo, d), max(hi, d)
+		}
+	}
+	spreadChips += hi - lo
+	if e.inj != nil {
+		p := e.inj.Profile()
+		spreadChips += p.ClockDriftChips + p.ExtraJitterChips
+	}
+	spc := e.scn.SamplesPerChip()
+	tail := 2 * e.set.ChipLength() * spc
+	return e.leadSamples + int(math.Ceil(spreadChips*float64(spc))) + 1 + e.frameSamples + tail
 }
 
 // Tags exposes the tag population (the macro experiments adjust positions
@@ -219,15 +253,16 @@ func (e *Engine) powerControlConfig() mac.PowerControlConfig {
 
 // runRound simulates one collision round on the serial (phaseAdhoc) path:
 // every listed tag transmits one frame simultaneously; the receiver
-// decodes; tags hear ACKs. The Algorithm 1 exploration batches,
+// decodes; tags hear ACKs. The result's index lists alias a until the
+// next round on it. The Algorithm 1 exploration batches,
 // RunSchedule entries and the user-detection trials run through here — each
 // consumes the next adhoc round's stream node. Rounds run through the
 // resilient runner: a panicking or transiently failing round comes back
 // quarantined, not as an error.
-func (e *Engine) runRound(active []*tag.Tag) (roundResult, error) {
-	rs := newRoundStreams(e.scn.Seed, e.runSeq, phaseAdhoc, e.adhocRound)
+func (e *Engine) runRound(active []*tag.Tag, a *roundArena) (roundResult, error) {
+	rs := a.streams(e.scn.Seed, e.runSeq, phaseAdhoc, e.adhocRound)
 	e.adhocRound++
-	res, err := e.resilientRound(active, rs, &e.round, e.recv)
+	res, err := e.resilientRound(active, &rs, a, e.recv)
 	if err != nil {
 		return res, err
 	}
@@ -257,6 +292,8 @@ func (e *Engine) Run() (Metrics, error) {
 func (e *Engine) RunContext(ctx context.Context) (Metrics, error) {
 	seq := e.runSeq
 	e.runSeq++
+	a := getArena()
+	defer putArena(a)
 	if e.scn.PowerControl && e.scn.OraclePowerControl {
 		if _, err := mac.EqualizePower(e.scn.Channel, e.scn.Deployment, e.tags); err != nil {
 			return Metrics{}, err
@@ -270,7 +307,7 @@ func (e *Engine) RunContext(ctx context.Context) (Metrics, error) {
 		m.Faults.StuckTags = e.inj.StuckCount()
 	}
 	if e.pc != nil {
-		st, err := e.explorePowerControl(ctx)
+		st, err := e.explorePowerControl(ctx, a)
 		m.PowerControlRounds = st.rounds
 		m.PowerControlConverged = st.converged
 		m.PowerControlRetries = st.feedbackRetries
@@ -280,7 +317,7 @@ func (e *Engine) RunContext(ctx context.Context) (Metrics, error) {
 			return e.finishRun(ctx, m, err)
 		}
 	}
-	if err := e.runSteadyState(ctx, &m, seq); err != nil {
+	if err := e.runSteadyState(ctx, &m, seq, a); err != nil {
 		return e.finishRun(ctx, m, err)
 	}
 	m.finalize(e.scn)
@@ -316,8 +353,8 @@ func (e *Engine) workerCount() int {
 // feed Algorithm 1 which has already finished — and each round's randomness
 // is a pure function of its index, so rounds may execute on workers in any
 // order. Both paths commit and merge strictly in round order, which is what
-// makes W=1 and W=N bit-identical.
-func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64) error {
+// makes W=1 and W=N bit-identical. The serial path runs on a.
+func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64, a *roundArena) error {
 	packets := e.scn.Packets
 	m.RoundsPlanned += packets
 	workers := e.workerCount()
@@ -329,13 +366,13 @@ func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64) err
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			rs := newRoundStreams(e.scn.Seed, seq, phaseSteady, uint64(p))
-			res, err := e.resilientRound(e.tags, rs, &e.round, e.recv)
+			rs := a.streams(e.scn.Seed, seq, phaseSteady, uint64(p))
+			res, err := e.resilientRound(e.tags, &rs, a, e.recv)
 			if err != nil {
 				return err
 			}
 			e.commitRound(e.tags, res)
-			m.Merge(res.metrics(len(e.tags)))
+			res.addTo(m, e.tags)
 		}
 		return nil
 	}
@@ -343,7 +380,7 @@ func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64) err
 }
 
 // runSteadyParallel fans the steady-state rounds out to workers goroutines,
-// each owning a cloned receiver and private scratch. Rounds are claimed off
+// each owning a cloned receiver and a borrowed arena. Rounds are claimed off
 // an atomic counter, executed out of order, then committed and merged in
 // round order by the coordinator. Errors do not short-circuit — a failing
 // round is a configuration bug, not a steady-state event — so every round's
@@ -356,6 +393,10 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 	results := make([]roundResult, packets)
 	errs := make([]error, packets)
 	done := make([]bool, packets)
+	// Results wait for the in-order commit, so each round's index lists
+	// live in its own slab segment rather than in the worker's arena.
+	n := len(e.tags)
+	ids := make([]int, 2*n*packets)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -364,7 +405,11 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 		go func() {
 			defer wg.Done()
 			recv := e.recv.Clone()
-			var rb roundBuffers
+			a := getArena()
+			defer func() {
+				a.ids = nil
+				putArena(a)
+			}()
 			for {
 				p := int(next.Add(1))
 				if p >= packets {
@@ -373,8 +418,9 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 				if ctx.Err() != nil {
 					return
 				}
-				rs := newRoundStreams(e.scn.Seed, seq, phaseSteady, uint64(p))
-				results[p], errs[p] = e.resilientRound(e.tags, rs, &rb, recv)
+				a.ids = ids[2*n*p : 2*n*(p+1) : 2*n*(p+1)]
+				rs := a.streams(e.scn.Seed, seq, phaseSteady, uint64(p))
+				results[p], errs[p] = e.resilientRound(e.tags, &rs, a, recv)
 				done[p] = true
 			}
 		}()
@@ -388,7 +434,7 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 			return errs[p]
 		}
 		e.commitRound(e.tags, results[p])
-		m.Merge(results[p].metrics(len(e.tags)))
+		results[p].addTo(m, e.tags)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -421,7 +467,7 @@ type pcStats struct {
 // are excluded from best-configuration tracking, and the final restore
 // keeps the controller's conservative fallback parking whenever no valid
 // measurement was ever observed.
-func (e *Engine) explorePowerControl(ctx context.Context) (pcStats, error) {
+func (e *Engine) explorePowerControl(ctx context.Context, a *roundArena) (pcStats, error) {
 	var st pcStats
 	snapshot := func() []tag.ImpedanceState {
 		out := make([]tag.ImpedanceState, len(e.tags))
@@ -455,7 +501,7 @@ func (e *Engine) explorePowerControl(ctx context.Context) (pcStats, error) {
 		batch := e.scn.PacketsPerRound * batchScale
 		st.resil.RoundsPlanned += batch
 		for p := 0; p < batch; p++ {
-			res, err := e.runRound(e.tags)
+			res, err := e.runRound(e.tags, a)
 			if err != nil {
 				return st, err
 			}
@@ -541,6 +587,8 @@ func (e *Engine) RunSchedule(schedule [][]int) (Metrics, error) {
 	m.PerTagSent = make([]int, len(e.tags))
 	m.PerTagDelivered = make([]int, len(e.tags))
 	m.RoundsPlanned = len(schedule)
+	a := getArena()
+	defer putArena(a)
 	for _, ids := range schedule {
 		active := make([]*tag.Tag, 0, len(ids))
 		for _, id := range ids {
@@ -549,11 +597,11 @@ func (e *Engine) RunSchedule(schedule [][]int) (Metrics, error) {
 			}
 			active = append(active, e.tags[id])
 		}
-		r, err := e.runRound(active)
+		r, err := e.runRound(active, a)
 		if err != nil {
 			return m, err
 		}
-		m.Merge(r.metrics(len(e.tags)))
+		r.addTo(&m, active)
 	}
 	m.finalize(e.scn)
 	return m, nil

@@ -256,6 +256,8 @@ func UserDetection(base Scenario, groupSize, trials int) (UserDetectionResult, e
 	// collision risk — so the historical constant stays.
 	rng := rand.New(rand.NewSource(base.Seed + 4242))
 	res := UserDetectionResult{Trials: trials}
+	a := getArena()
+	defer putArena(a)
 	for t := 0; t < trials; t++ {
 		// Random non-empty active subset.
 		var active []int
@@ -271,7 +273,7 @@ func UserDetection(base Scenario, groupSize, trials int) (UserDetectionResult, e
 		for _, id := range active {
 			sub = append(sub, e.tags[id])
 		}
-		r, err := e.runRound(sub)
+		r, err := e.runRound(sub, a)
 		if err != nil {
 			return res, err
 		}

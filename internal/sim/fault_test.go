@@ -108,15 +108,18 @@ func TestRetriedRoundsReproduce(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	ca, fa := getArena(), getArena()
+	defer putArena(ca)
+	defer putArena(fa)
 	recovered := 0
 	for p := 0; p < scn.Packets; p++ {
-		cs := newRoundStreams(scn.Seed, 0, phaseSteady, uint64(p))
-		cres, err := eClean.resilientRound(eClean.tags, cs, &eClean.round, eClean.recv)
+		cs := ca.streams(scn.Seed, 0, phaseSteady, uint64(p))
+		cres, err := eClean.resilientRound(eClean.tags, &cs, ca, eClean.recv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := newRoundStreams(scn.Seed, 0, phaseSteady, uint64(p))
-		fres, err := eFault.resilientRound(eFault.tags, fs, &eFault.round, eFault.recv)
+		fs := fa.streams(scn.Seed, 0, phaseSteady, uint64(p))
+		fres, err := eFault.resilientRound(eFault.tags, &fs, fa, eFault.recv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +130,11 @@ func TestRetriedRoundsReproduce(t *testing.T) {
 			t.Fatalf("round %d: no transient failure at probability 1", p)
 		}
 		recovered++
-		if cres.sent != fres.sent || cres.delivered != fres.delivered ||
-			!reflect.DeepEqual(cres.deliveredIDs, fres.deliveredIDs) ||
-			!reflect.DeepEqual(cres.detectedIDs, fres.detectedIDs) {
-			t.Errorf("round %d: retried result diverged from clean result:\n  clean:   sent=%d delivered=%d ids=%v\n  retried: sent=%d delivered=%d ids=%v",
-				p, cres.sent, cres.delivered, cres.deliveredIDs,
-				fres.sent, fres.delivered, fres.deliveredIDs)
+		if cres.sent != fres.sent || cres.detected != fres.detected ||
+			!reflect.DeepEqual(cres.delivered, fres.delivered) {
+			t.Errorf("round %d: retried result diverged from clean result:\n  clean:   sent=%d detected=%d delivered=%v\n  retried: sent=%d detected=%d delivered=%v",
+				p, cres.sent, cres.detected, cres.delivered,
+				fres.sent, fres.detected, fres.delivered)
 		}
 	}
 	// FailAttempts is uniform over [1, 4] against a 4-attempt budget, so
@@ -217,16 +219,21 @@ func TestRunContextMidRunCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var prefix Metrics
-	prefix.NumTags = scn.NumTags
+	prefix := Metrics{
+		NumTags:         scn.NumTags,
+		PerTagSent:      make([]int, scn.NumTags),
+		PerTagDelivered: make([]int, scn.NumTags),
+	}
+	a := getArena()
+	defer putArena(a)
 	for p := 0; p < m.RoundsExecuted; p++ {
-		rs := newRoundStreams(scn.Seed, 0, phaseSteady, uint64(p))
-		res, err := full.resilientRound(full.tags, rs, &full.round, full.recv)
+		rs := a.streams(scn.Seed, 0, phaseSteady, uint64(p))
+		res, err := full.resilientRound(full.tags, &rs, a, full.recv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		full.commitRound(full.tags, res)
-		prefix.Merge(res.metrics(len(full.tags)))
+		res.addTo(&prefix, full.tags)
 	}
 	if prefix.FramesSent != m.FramesSent || prefix.FramesDelivered != m.FramesDelivered {
 		t.Errorf("interrupted metrics are not a prefix of the full run:\n  interrupted: %+v\n  prefix:      %+v",

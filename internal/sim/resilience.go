@@ -47,7 +47,7 @@ func (e *RoundPanicError) Error() string {
 // bit-identical to an undisturbed first attempt. A round that panics (or
 // exhausts its transient retries) is returned as a quarantined roundResult
 // with a nil error; only genuine configuration errors propagate.
-func (e *Engine) resilientRound(active []*tag.Tag, rs *roundStreams, rb *roundBuffers, recv *rx.Receiver) (roundResult, error) {
+func (e *Engine) resilientRound(active []*tag.Tag, rs *roundStreams, a *roundArena, recv *rx.Receiver) (roundResult, error) {
 	var plan fault.ExecPlan
 	maxRetries := 0
 	if e.inj != nil {
@@ -58,11 +58,11 @@ func (e *Engine) resilientRound(active []*tag.Tag, rs *roundStreams, rb *roundBu
 	}
 	transients := 0
 	for attempt := 0; ; attempt++ {
-		// Fresh stream node per attempt: lazily created streams inside a
-		// partially executed attempt must not leak consumed draws into the
-		// retry.
-		ars := newRoundStreams(rs.seed, rs.runSeq, rs.phase, rs.round)
-		res, err := e.attemptRound(active, ars, rb, recv, plan, attempt)
+		// Fresh stream node per attempt: streams consumed inside a
+		// partially executed attempt are re-seeded on their next use, so
+		// they cannot leak consumed draws into the retry.
+		ars := newRoundStreams(rs.seed, rs.runSeq, rs.phase, rs.round, rs.gens)
+		res, err := e.attemptRound(active, &ars, a, recv, plan, attempt)
 		if err == nil {
 			res.retries = attempt
 			res.faults.TransientErrors += transients
@@ -114,7 +114,7 @@ func (e *Engine) resilientRound(active []*tag.Tag, rs *roundStreams, rb *roundBu
 // first (transient failures gate the attempt, then a planned panic goes
 // through the real panic/recover machinery so the recovery path is
 // genuinely exercised), then the round pipeline runs under recover.
-func (e *Engine) attemptRound(active []*tag.Tag, rs *roundStreams, rb *roundBuffers, recv *rx.Receiver, plan fault.ExecPlan, attempt int) (res roundResult, err error) {
+func (e *Engine) attemptRound(active []*tag.Tag, rs *roundStreams, a *roundArena, recv *rx.Receiver, plan fault.ExecPlan, attempt int) (res roundResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			perr, isErr := r.(error)
@@ -132,5 +132,5 @@ func (e *Engine) attemptRound(active []*tag.Tag, rs *roundStreams, rb *roundBuff
 	if plan.Panic {
 		panic(fault.ErrInjectedPanic)
 	}
-	return e.executeRound(active, rs, rb, recv)
+	return e.executeRound(active, rs, a, recv)
 }

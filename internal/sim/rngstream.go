@@ -115,29 +115,46 @@ func streamSeed(seed int64, runSeq, phase, round uint64, id StreamID) int64 {
 }
 
 // roundStreams lazily materializes the named RNG streams of one round.
-// A roundStreams value belongs to a single goroutine (the worker executing
-// the round).
+// The generators themselves live in gens — normally a round arena's, reused
+// across rounds — and a stream's generator is re-seeded on its first use in
+// the round (see rng), so no round allocates a source. A roundStreams value
+// belongs to a single goroutine (the worker executing the round).
 type roundStreams struct {
 	seed   int64
 	runSeq uint64
 	phase  uint64
 	round  uint64
-	rngs   [numStreams]*rand.Rand
+	gens   *[numStreams]*rand.Rand
+	// live has bit id set once stream id has been seeded for this round.
+	live uint32
 }
 
-// newRoundStreams prepares the stream tree node for one round. runSeq
-// distinguishes repeated Run/RunSchedule calls on the same engine (each
-// placement of a deployment study must see fresh randomness); phase and
-// round locate the round within the run.
-func newRoundStreams(seed int64, runSeq, phase, round uint64) *roundStreams {
-	return &roundStreams{seed: seed, runSeq: runSeq, phase: phase, round: round}
+// newRoundStreams prepares the stream tree node for one round, drawing
+// from the generators in gens. runSeq distinguishes repeated
+// Run/RunSchedule calls on the same engine (each placement of a deployment
+// study must see fresh randomness); phase and round locate the round within
+// the run.
+func newRoundStreams(seed int64, runSeq, phase, round uint64, gens *[numStreams]*rand.Rand) roundStreams {
+	return roundStreams{seed: seed, runSeq: runSeq, phase: phase, round: round, gens: gens}
 }
 
-// rng returns the round's generator for the given stream, creating it on
-// first use.
+// rng returns the round's generator for the given stream, seeding it on
+// first use. Re-seeding a reused generator is bit-identical to building a
+// fresh rand.NewSource from the same seed: Seed resets the whole source
+// state and the Rand's buffered Read bytes. Only the first use of a
+// generator slot ever allocates one.
+//
+//cbma:hotpath
 func (rs *roundStreams) rng(id StreamID) *rand.Rand {
-	if rs.rngs[id] == nil {
-		rs.rngs[id] = rand.New(rand.NewSource(streamSeed(rs.seed, rs.runSeq, rs.phase, rs.round, id)))
+	bit := uint32(1) << id
+	if rs.live&bit == 0 {
+		seed := streamSeed(rs.seed, rs.runSeq, rs.phase, rs.round, id)
+		if rs.gens[id] == nil {
+			rs.gens[id] = rand.New(rand.NewSource(seed))
+		} else {
+			rs.gens[id].Seed(seed)
+		}
+		rs.live |= bit
 	}
-	return rs.rngs[id]
+	return rs.gens[id]
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"cbma/internal/channel"
 	"cbma/internal/dsp"
@@ -17,93 +18,48 @@ import (
 // This file is the staged round pipeline. One collision round runs as three
 // stages with isolated state:
 //
-//	buildTransmissions  tags + RNG streams -> delayed per-tag waveforms
+//	buildTransmissions  tags + RNG streams -> per-tag payloads and delays
 //	mixChannel          waveforms + links  -> one received I/Q buffer
 //	decodeAndAck        receiver + payload matching -> roundResult
 //
 // The first two stages are pure with respect to engine state: they read the
 // scenario and tag configuration and write only into the caller's
-// roundBuffers scratch. decodeAndAck needs a receiver (workers own clones)
+// roundArena scratch. decodeAndAck needs a receiver (workers own clones)
 // but also mutates nothing on the engine; the only engine-state mutations
 // of a round — tag ACK counters and trace recording — are deferred to
 // Engine.commitRound so parallel workers can execute rounds out of order
 // while feedback and recording stay in round order.
 
-// roundBuffers is one worker's reusable scratch: one payload and waveform
-// buffer per active-tag slot, the placement bookkeeping slices, and the
-// mixing buffer the waveforms accumulate into. The mixing buffer alone is
-// tens of thousands of samples; reusing it (and the per-slot waveform
-// buffers) removes the dominant per-round allocations.
-type roundBuffers struct {
-	payloads [][]byte
-	waves    [][]complex128
-	offsets  []int
-	delays   []float64
-	gains    []complex128
-	mix      []complex128
-}
-
-// grow sizes the per-slot scratch for n active tags, retaining previously
-// allocated storage.
-func (rb *roundBuffers) grow(n int) {
-	if cap(rb.payloads) < n {
-		payloads := make([][]byte, n)
-		copy(payloads, rb.payloads)
-		rb.payloads = payloads
-		waves := make([][]complex128, n)
-		copy(waves, rb.waves)
-		rb.waves = waves
-		rb.offsets = make([]int, n)
-		rb.delays = make([]float64, n)
-		rb.gains = make([]complex128, n)
-	}
-	rb.payloads = rb.payloads[:n]
-	rb.waves = rb.waves[:n]
-	rb.offsets = rb.offsets[:n]
-	rb.delays = rb.delays[:n]
-	rb.gains = rb.gains[:n]
-}
-
-// mixFor returns a zeroed mixing buffer of length n, reusing capacity.
-func (rb *roundBuffers) mixFor(n int) []complex128 {
-	if cap(rb.mix) < n {
-		rb.mix = make([]complex128, n)
-	}
-	rb.mix = rb.mix[:n]
-	for i := range rb.mix {
-		rb.mix[i] = 0
-	}
-	return rb.mix
-}
-
 // transmissionSet is the output of buildTransmissions: the active tags'
-// delayed waveforms and placement, backed by roundBuffers storage.
+// payloads and placement, backed by roundArena storage.
 type transmissionSet struct {
 	active   []*tag.Tag
 	payloads [][]byte
-	waves    [][]complex128
 	// offsets holds the integer sample placement of each waveform relative
 	// to the nominal frame start; delays the raw (fractional) per-tag delay
-	// in samples before re-referencing, kept for trace recording.
-	offsets []int
-	delays  []float64
+	// in samples before re-referencing (to minDelay, the earliest tag's),
+	// kept for the fractional-delay filter and trace recording.
+	offsets  []int
+	delays   []float64
+	minDelay float64
 	// maxEnd is the last occupied sample index relative to the lead region.
 	maxEnd int
 }
 
-// roundResult captures one collision round.
+// roundResult captures one collision round. Every transmitting tag is in
+// the round's active slice, so per-tag accounting indexes into it.
 type roundResult struct {
-	sent         int // frames transmitted (== active tags)
-	delivered    int // frames decoded with correct payload and CRC
-	falsePos     int // decoded-OK frames whose payload did not match
-	samples      int // buffer length, for airtime accounting
-	frames       []rx.DecodedFrame
-	sentIDs      []int
-	deliveredIDs []int
-	detectedIDs  []int
-	// acked indexes into the round's active slice: tags whose ACK survived
-	// the downlink loss draw. Applied to tag state by Engine.commitRound.
-	acked []int
+	sent     int // frames transmitted (== active tags)
+	detected int // frames whose sender the receiver detected
+	falsePos int // decoded-OK frames whose payload did not match
+	samples  int // buffer length, for airtime accounting
+	frames   []rx.DecodedFrame
+	// delivered indexes into the active slice: tags whose frame decoded
+	// with correct payload and CRC. acked indexes the tags whose ACK
+	// survived the downlink loss draw, applied to tag state by
+	// Engine.commitRound. Both are backed by roundArena.ids.
+	delivered []int
+	acked     []int
 	// recorded carries the round's trace samples when recording is on.
 	recorded []trace.TagSample
 	// quarantined marks a round abandoned by the resilient runner (panic or
@@ -128,33 +84,30 @@ func (r roundResult) resilience() Metrics {
 	return m
 }
 
-// metrics converts the round's counters into a mergeable Metrics partial
-// (see Metrics.Merge); numTags sizes the per-tag slices. A quarantined
-// round carries only its degradation accounting.
-func (r roundResult) metrics(numTags int) Metrics {
-	m := r.resilience()
-	m.NumTags = numTags
+// addTo folds the round's counters into the run's metrics m, whose
+// PerTag* slices are sized to the engine's tag count; active is the
+// round's transmitting set. A quarantined round carries only its
+// degradation accounting. Every counter is integral, so adding rounds one
+// by one in round order equals merging per-round partials (Metrics.Merge).
+func (r roundResult) addTo(m *Metrics, active []*tag.Tag) {
+	m.RoundRetries += r.retries
+	m.Faults.Merge(r.faults)
 	if r.quarantined {
-		return m
+		m.RoundsQuarantined++
+		return
 	}
-	m.FramesSent = r.sent
-	m.FramesDetected = len(r.detectedIDs)
-	m.FramesDelivered = r.delivered
-	m.FalseFrames = r.falsePos
-	m.AirtimeSamples = int64(r.samples)
-	m.PerTagSent = make([]int, numTags)
-	m.PerTagDelivered = make([]int, numTags)
-	for _, id := range r.sentIDs {
-		if id >= 0 && id < numTags {
-			m.PerTagSent[id]++
-		}
+	m.RoundsExecuted++
+	m.FramesSent += r.sent
+	m.FramesDetected += r.detected
+	m.FramesDelivered += len(r.delivered)
+	m.FalseFrames += r.falsePos
+	m.AirtimeSamples += int64(r.samples)
+	for _, tg := range active {
+		m.PerTagSent[tg.ID()]++
 	}
-	for _, id := range r.deliveredIDs {
-		if id >= 0 && id < numTags {
-			m.PerTagDelivered[id]++
-		}
+	for _, idx := range r.delivered {
+		m.PerTagDelivered[active[idx].ID()]++
 	}
-	return m
 }
 
 // executeRound runs the full stage pipeline for one round using the given
@@ -162,7 +115,7 @@ func (r roundResult) metrics(numTags int) Metrics {
 // state; callers must follow up with Engine.commitRound.
 //
 //cbma:hotpath
-func (e *Engine) executeRound(active []*tag.Tag, rs *roundStreams, rb *roundBuffers, recv *rx.Receiver) (roundResult, error) {
+func (e *Engine) executeRound(active []*tag.Tag, rs *roundStreams, a *roundArena, recv *rx.Receiver) (roundResult, error) {
 	var res roundResult
 	if len(active) == 0 {
 		return res, ErrBadTagCount
@@ -183,19 +136,19 @@ func (e *Engine) executeRound(active []*tag.Tag, rs *roundStreams, rb *roundBuff
 	// allocation-free (hotpath-compatible) and invisible to the result path.
 	var fc fault.Counters
 	sp := e.eobs.o.Start(e.eobs.build)
-	tx, err := e.buildTransmissions(active, rs, rb, replay, &fc)
+	tx, err := e.buildTransmissions(active, rs, a, replay, &fc)
 	sp.End()
 	if err != nil {
 		return res, err
 	}
 	sp = e.eobs.o.Start(e.eobs.mix)
-	buf, recorded, err := e.mixChannel(tx, rs, rb, replay, &fc)
+	buf, recorded, err := e.mixChannel(tx, rs, a, replay, &fc)
 	sp.End()
 	if err != nil {
 		return res, err
 	}
 	sp = e.eobs.o.Start(e.eobs.decode)
-	res, err = e.decodeAndAck(recv, buf, tx, rs, &fc)
+	res, err = e.decodeAndAck(recv, buf, tx, rs, a, &fc)
 	sp.End()
 	res.recorded = recorded
 	res.faults = fc
@@ -203,26 +156,26 @@ func (e *Engine) executeRound(active []*tag.Tag, rs *roundStreams, rb *roundBuff
 }
 
 // buildTransmissions is the pure transmit stage: it draws each active
-// tag's clock jitter and payload, synthesizes the spread waveform, applies
-// the fractional-sample delay and (when configured) the per-tag CFO phase
-// ramp. All storage comes from rb.
+// tag's clock jitter and payload and places its frame in the round. The
+// waveforms themselves are synthesized one at a time by mixChannel, so a
+// round holds one frame of samples per worker, not one per tag. All
+// storage comes from a.
 //
 //cbma:hotpath
-func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, rb *roundBuffers, replay *trace.Round, fc *fault.Counters) (transmissionSet, error) {
+func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, a *roundArena, replay *trace.Round, fc *fault.Counters) (transmissionSet, error) {
 	spc := e.scn.SamplesPerChip()
-	rb.grow(len(active))
+	a.grow(len(active))
 	tx := transmissionSet{
 		active:   active,
-		payloads: rb.payloads,
-		waves:    rb.waves,
-		offsets:  rb.offsets,
-		delays:   rb.delays,
+		payloads: a.payloads,
+		offsets:  a.offsets,
+		delays:   a.delays,
 	}
 	minDelay := math.Inf(1)
 	jitter := rs.rng(StreamJitter)
 	// Tag-layer fault draws (extra jitter, energy outages) come from the
 	// round's dedicated fault stream, in tag order: jitter draws in this
-	// loop, outage draws in the waveform loop below.
+	// loop, outage draws in mixChannel's waveform loop.
 	var ftag *rand.Rand
 	if e.inj != nil && e.inj.TagRoundFaults() {
 		ftag = rs.rng(StreamFaultTag)
@@ -259,36 +212,79 @@ func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, rb *rou
 			}
 		}
 	}
+	tx.minDelay = minDelay
 	payload := rs.rng(StreamPayload)
-	var cfo *roundStreams
-	if e.scn.CFOppm != 0 {
-		cfo = rs
-	}
-	for i, tg := range active {
+	for i := range active {
 		if cap(tx.payloads[i]) < e.scn.PayloadBytes {
 			tx.payloads[i] = make([]byte, e.scn.PayloadBytes)
 		}
 		p := tx.payloads[i][:e.scn.PayloadBytes]
 		payload.Read(p)
 		tx.payloads[i] = p
-		w, err := tg.WaveformInto(tx.waves[i], p)
-		if err != nil {
-			return tx, err
+		// Re-reference delays to the earliest tag so none is clamped; the
+		// integer part places the frame, the fractional part is applied
+		// to the waveform by mixChannel.
+		off := int(tx.delays[i] - minDelay)
+		tx.offsets[i] = off
+		if end := e.leadSamples + off + e.frameSamples; end > tx.maxEnd {
+			tx.maxEnd = end
 		}
-		// Re-reference delays to the earliest tag so none is clamped, then
-		// split into an integer placement offset and a fractional-sample
-		// delay. The fractional part is what starves the decoder at low
-		// oversampling (Fig. 9(a)): at one sample per chip a 0.2-chip skew
-		// cannot be re-aligned.
-		d := tx.delays[i] - minDelay
-		off := int(d)
-		if frac := d - float64(off); frac > 1e-9 {
+	}
+	return tx, nil
+}
+
+// mixChannel is the pure channel stage: for each tag in turn it synthesizes
+// the spread waveform into the arena's one waveform buffer, applies the
+// fractional-sample delay, the per-tag CFO phase ramp (when configured) and
+// any energy outage, realizes the tag's link and accumulates the gained
+// waveform into one I/Q buffer; then it applies the shared channel effects
+// (excitation gating, multipath, interference, AWGN). Each stream is still
+// drawn in tag order, so interleaving the per-tag steps changes no draw.
+// It returns the received buffer and, when recording is enabled, the
+// round's trace samples.
+//
+//cbma:hotpath
+func (e *Engine) mixChannel(tx transmissionSet, rs *roundStreams, a *roundArena, replay *trace.Round, fc *fault.Counters) ([]complex128, []trace.TagSample, error) {
+	spc := e.scn.SamplesPerChip()
+	tail := 2 * e.set.ChipLength() * spc
+	buf := a.mixFor(tx.maxEnd+tail, e.mixSpan)
+
+	// Optional intermittent (OFDM) excitation gate, shared by all tags:
+	// they all reflect the same exciter.
+	var gate []float64
+	if e.scn.OFDMExcitation {
+		a.gate = channel.ExcitationGateInto(a.gate, rs.rng(StreamExcitation), len(buf), e.scn.SampleRateHz, 2e-3, 1e-3)
+		gate = a.gate
+	}
+
+	// Channel-layer fault draws (deep fades in tag order, then the burst)
+	// come from the round's dedicated fault stream.
+	var fch *rand.Rand
+	if e.inj != nil && e.inj.ChannelRoundFaults() {
+		fch = rs.rng(StreamFaultChannel)
+	}
+	var ftag *rand.Rand
+	if e.inj != nil && e.inj.TagRoundFaults() {
+		ftag = rs.rng(StreamFaultTag)
+	}
+
+	for i, tg := range tx.active {
+		w, err := tg.WaveformInto(a.wave, tx.payloads[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		a.wave = w
+		// The fractional part of the re-referenced delay is what starves
+		// the decoder at low oversampling (Fig. 9(a)): at one sample per
+		// chip a 0.2-chip skew cannot be re-aligned.
+		d := tx.delays[i] - tx.minDelay
+		if frac := d - float64(tx.offsets[i]); frac > 1e-9 {
 			dsp.FractionalDelayInPlace(w, frac)
 		}
-		if cfo != nil {
+		if e.scn.CFOppm != 0 {
 			// Per-frame CFO draw: a uniform offset of ±CFOppm of the
 			// carrier, as a per-sample baseband phase ramp.
-			dfHz := e.scn.Channel.CarrierHz * e.scn.CFOppm / 1e6 * (2*cfo.rng(StreamCFO).Float64() - 1)
+			dfHz := e.scn.Channel.CarrierHz * e.scn.CFOppm / 1e6 * (2*rs.rng(StreamCFO).Float64() - 1)
 			step := 2 * math.Pi * dfHz / e.scn.SampleRateHz
 			rot := complex(math.Cos(step), math.Sin(step))
 			phasor := complex(1, 0)
@@ -308,45 +304,7 @@ func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, rb *rou
 				fc.EnergyOutages++
 			}
 		}
-		tx.waves[i] = w
-		tx.offsets[i] = off
-		if end := e.leadSamples + off + len(w); end > tx.maxEnd {
-			tx.maxEnd = end
-		}
-	}
-	// Keep the shared slices in sync with any growth WaveformInto caused.
-	rb.payloads = tx.payloads
-	rb.waves = tx.waves
-	return tx, nil
-}
 
-// mixChannel is the pure channel stage: it realizes each tag's link,
-// accumulates the gained waveforms into one I/Q buffer, and applies the
-// shared channel effects (excitation gating, multipath, interference,
-// AWGN). It returns the received buffer and, when recording is enabled,
-// the round's trace samples.
-//
-//cbma:hotpath
-func (e *Engine) mixChannel(tx transmissionSet, rs *roundStreams, rb *roundBuffers, replay *trace.Round, fc *fault.Counters) ([]complex128, []trace.TagSample, error) {
-	spc := e.scn.SamplesPerChip()
-	tail := 2 * e.set.ChipLength() * spc
-	buf := rb.mixFor(tx.maxEnd + tail)
-
-	// Optional intermittent (OFDM) excitation gate, shared by all tags:
-	// they all reflect the same exciter.
-	var gate []float64
-	if e.scn.OFDMExcitation {
-		gate = channel.ExcitationGate(rs.rng(StreamExcitation), len(buf), e.scn.SampleRateHz, 2e-3, 1e-3)
-	}
-
-	// Channel-layer fault draws (deep fades in tag order, then the burst)
-	// come from the round's dedicated fault stream.
-	var fch *rand.Rand
-	if e.inj != nil && e.inj.ChannelRoundFaults() {
-		fch = rs.rng(StreamFaultChannel)
-	}
-
-	for i, tg := range tx.active {
 		dg, err := tg.DeltaGamma()
 		if err != nil {
 			return nil, nil, err
@@ -370,19 +328,24 @@ func (e *Engine) mixChannel(tx transmissionSet, rs *roundStreams, rb *roundBuffe
 				fc.DeepFades++
 			}
 		}
-		rb.gains[i] = link.Gain
+		a.gains[i] = link.Gain
 		base := e.leadSamples + tx.offsets[i]
-		for k, v := range tx.waves[i] {
-			s := v * link.Gain
-			if gate != nil {
-				s *= complex(gate[base+k], 0)
+		dst := buf[base : base+len(w)]
+		if gate != nil {
+			g := gate[base : base+len(w)]
+			for k, v := range w {
+				dst[k] += v * link.Gain * complex(g[k], 0)
 			}
-			buf[base+k] += s
+		} else {
+			for k, v := range w {
+				dst[k] += v * link.Gain
+			}
 		}
 	}
 
 	if e.scn.Multipath != nil {
-		buf = e.scn.Multipath.Apply(rs.rng(StreamMultipath), buf, e.scn.SampleRateHz)
+		a.echo = e.scn.Multipath.ApplyInto(a.echo, rs.rng(StreamMultipath), buf, e.scn.SampleRateHz)
+		buf = a.echo
 	}
 	for _, intf := range e.scn.Interferers {
 		intf.Apply(rs.rng(StreamInterference), buf, e.scn.SampleRateHz)
@@ -394,7 +357,7 @@ func (e *Engine) mixChannel(tx transmissionSet, rs *roundStreams, rb *roundBuffe
 	channel.AWGN(rs.rng(StreamNoise), buf, e.scn.Channel.NoiseFloorW())
 	var recorded []trace.TagSample
 	if e.recorder != nil {
-		recorded = traceSamples(tx, rb.gains, spc)
+		recorded = traceSamples(tx, a.gains, spc)
 	}
 	return buf, recorded, nil
 }
@@ -422,46 +385,39 @@ func traceSamples(tx transmissionSet, gains []complex128, spc int) []trace.TagSa
 // buffer, verifies payloads against the transmissions, and draws the ACK
 // downlink losses. The resulting ACKs are reported in roundResult.acked
 // rather than applied, keeping the stage free of tag mutation.
-func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissionSet, rs *roundStreams, fc *fault.Counters) (roundResult, error) {
+func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissionSet, rs *roundStreams, a *roundArena, fc *fault.Counters) (roundResult, error) {
 	var res roundResult
 	// The engine is also the reader: it triggered the tags, so it knows
 	// the nominal reply start (rx.ReceiveAt's timing reference).
-	out, err := recv.ReceiveAt(buf, e.leadSamples)
+	out, err := recv.ReceiveAtWith(&a.rx, buf, e.leadSamples)
 	if err != nil {
 		return res, err
 	}
-	res.sent = len(tx.active)
+	n := len(tx.active)
+	if cap(a.ids) < 2*n {
+		a.ids = make([]int, 2*n)
+	}
+	res.delivered = a.ids[0:0:n]
+	res.acked = a.ids[n:n:2*n]
+	res.sent = n
 	res.samples = len(buf)
 	res.frames = out.Frames
 	for _, f := range out.Frames {
-		for _, tg := range tx.active {
-			if tg.ID() == f.TagID {
-				res.detectedIDs = append(res.detectedIDs, f.TagID)
-				break
-			}
+		if activeIndex(tx.active, f.TagID) >= 0 {
+			res.detected++
 		}
-	}
-	for _, tg := range tx.active {
-		res.sentIDs = append(res.sentIDs, tg.ID())
 	}
 	for _, f := range out.Frames {
 		if !f.OK {
 			continue
 		}
-		idx := -1
-		for i, tg := range tx.active {
-			if tg.ID() == f.TagID {
-				idx = i
-				break
-			}
-		}
+		idx := activeIndex(tx.active, f.TagID)
 		if idx < 0 {
 			res.falsePos++
 			continue
 		}
 		if bytes.Equal(f.Payload, tx.payloads[idx]) {
-			res.delivered++
-			res.deliveredIDs = append(res.deliveredIDs, tx.active[idx].ID())
+			res.delivered = append(res.delivered, idx)
 			// The ACK downlink may itself be lossy (Scenario.AckLossProb);
 			// receiver-side delivery metrics are unaffected, only the
 			// tag's feedback loop is starved. The fault layer's feedback
@@ -493,18 +449,26 @@ func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissi
 	// fault stream's consumption is position-independent.
 	if e.inj != nil && e.inj.SpuriousAcks() {
 		srng := rs.rng(StreamFaultAck)
-		heard := make([]bool, len(tx.active))
-		for _, idx := range res.acked {
-			heard[idx] = true
-		}
+		heard := res.acked // the real ACKs; appends below do not extend it
 		for idx := range tx.active {
-			if !heard[idx] && e.inj.SpuriousAck(srng) {
+			if !slices.Contains(heard, idx) && e.inj.SpuriousAck(srng) {
 				res.acked = append(res.acked, idx)
 				fc.SpuriousAcks++
 			}
 		}
 	}
 	return res, nil
+}
+
+// activeIndex returns the index of the tag with the given ID in active, or
+// -1 when it did not transmit this round.
+func activeIndex(active []*tag.Tag, id int) int {
+	for i, tg := range active {
+		if tg.ID() == id {
+			return i
+		}
+	}
+	return -1
 }
 
 // commitRound applies the round's engine-state mutations — the tags' MAC

@@ -158,25 +158,37 @@ func (t *Tag) Waveform(payload []byte) ([]complex128, error) {
 
 // WaveformInto is Waveform writing into dst (grown as needed) so the
 // simulation loop can reuse one sample buffer per tag slot across rounds;
-// it returns the filled slice.
+// it returns the filled slice. The frame bits are marshalled into a stack
+// buffer and spread straight into samples — no chip stream is built — so
+// with a large enough dst the call does not allocate.
 //
 //cbma:hotpath
 func (t *Tag) WaveformInto(dst []complex128, payload []byte) ([]complex128, error) {
-	chips, err := t.EncodeFrame(payload)
+	var buf [frame.MaxBits]byte
+	bits, err := frame.AppendBits(buf[:0], payload, t.cfg.Frame)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tag %d: %w", t.id, err)
 	}
 	spc := t.cfg.SamplesPerChip
-	n := len(chips) * spc
+	code := t.cfg.Code
+	chipsPerBit := code.Length()
+	n := len(bits) * chipsPerBit * spc
 	if cap(dst) < n {
 		dst = make([]complex128, n)
 	}
 	dst = dst[:n]
-	for i, c := range chips {
-		v := complex(float64(c), 0)
-		base := i * spc
-		for k := 0; k < spc; k++ {
-			dst[base+k] = v
+	base := 0
+	for _, b := range bits {
+		seq := code.Zero
+		if b == 1 {
+			seq = code.One
+		}
+		for _, c := range seq {
+			v := complex(float64(c), 0)
+			for k := 0; k < spc; k++ {
+				dst[base+k] = v
+			}
+			base += spc
 		}
 	}
 	return dst, nil
