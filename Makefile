@@ -2,7 +2,7 @@
 # commands. The repo is stdlib-only: no tool downloads are needed for
 # build/test/lint (staticcheck/govulncheck are CI extras).
 
-.PHONY: build test lint fmt fuzz bench serve-test leak-test shard-test
+.PHONY: build test lint fmt fuzz bench alloc-test serve-test leak-test shard-test
 
 build:
 	go build ./...
@@ -24,9 +24,18 @@ FUZZTIME ?= 20s
 fuzz:
 	go test ./internal/pn/ -fuzz FuzzGoldBalance -fuzztime $(FUZZTIME) -run '^$$'
 	go test ./internal/rx/ -fuzz FuzzFrameSync -fuzztime $(FUZZTIME) -run '^$$'
+	go test ./internal/rx/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) -run '^$$'
 
 bench:
 	go test ./internal/sim/ -run '^$$' -bench BenchmarkCampaignFig8a -benchtime 1x
+
+# Steady-state allocation guard (see DESIGN.md, "Execution model"): zero
+# allocations in the build and mix stages, a pinned bound per round, and
+# pooled-arena reuse equal to fresh arenas. Allocation counts are
+# deterministic, so a failure here is a regression, not noise. Runs without
+# -race, which perturbs sync.Pool and allocation counts.
+alloc-test:
+	go test -count=1 -run 'TestSteadyRoundAllocs|TestArenaReuseEquivalence|TestMetricsGolden' ./internal/sim/
 
 # The campaign-service layers and daemon under the race detector (the
 # cbmad e2e equivalence test runs real campaigns; see DESIGN.md,

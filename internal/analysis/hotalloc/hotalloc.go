@@ -9,7 +9,12 @@
 //     cold path (an if-block that returns, i.e. an error exit);
 //   - function literals (closure environments allocate);
 //   - implicit conversions of concrete values to interface parameters or
-//     variables (the boxed value escapes), again excluding cold paths.
+//     variables (the boxed value escapes), again excluding cold paths;
+//   - random-generator construction (math/rand New/NewSource and the
+//     math/rand/v2 constructors): a fresh lagged-Fibonacci source is ~5 KB,
+//     so a per-round stream must re-seed a reused generator instead. Only
+//     nil-guarded lazy initialization (inside `if g == nil { … }`) is
+//     exempt — it runs once per reused slot.
 //
 // Allocation moved behind a call into an unannotated helper is out of the
 // analyzer's intraprocedural scope by design: the convention is that hot
@@ -19,6 +24,7 @@ package hotalloc
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 
 	"cbma/internal/analysis/framework"
@@ -93,6 +99,10 @@ func children(n ast.Node, f func(ast.Node)) {
 }
 
 func checkHotCall(pass *framework.Pass, call *ast.CallExpr, path []ast.Node) {
+	if name, ok := randConstructor(pass, call); ok && !nilGuarded(path) {
+		pass.Reportf(call.Pos(),
+			"%s in hot path builds a new random generator per call: re-seed a reused one, or initialize lazily behind `if g == nil`", name)
+	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if b, ok := pass.TypesInfo.Uses[id].(*types.Builtin); ok {
 			switch b.Name() {
@@ -187,6 +197,60 @@ func checkInterfaceAssign(pass *framework.Pass, as *ast.AssignStmt, path []ast.N
 func isNil(t types.Type) bool {
 	b, ok := t.(*types.Basic)
 	return ok && b.Kind() == types.UntypedNil
+}
+
+// randConstructors are the generator constructors of the standard random
+// packages, by import path.
+var randConstructors = map[string]map[string]bool{
+	"math/rand":    {"New": true, "NewSource": true},
+	"math/rand/v2": {"New": true, "NewPCG": true, "NewChaCha8": true},
+}
+
+// randConstructor reports whether call constructs a random generator, and
+// its qualified name.
+func randConstructor(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return "", false
+	}
+	if !randConstructors[fn.Pkg().Path()][fn.Name()] {
+		return "", false
+	}
+	return fn.Pkg().Name() + "." + fn.Name(), true
+}
+
+// nilGuarded reports whether the node path runs through the body of an
+// if-statement whose condition tests something `== nil` — the lazy
+// initialization shape `if g == nil { g = … }`, which constructs once per
+// slot and then reuses.
+func nilGuarded(path []ast.Node) bool {
+	for i := len(path) - 2; i >= 0; i-- {
+		ifs, ok := path[i].(*ast.IfStmt)
+		if !ok || path[i+1] != ifs.Body {
+			continue
+		}
+		guarded := false
+		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
+			if be, ok := n.(*ast.BinaryExpr); ok && be.Op == token.EQL && (isNilIdent(be.X) || isNilIdent(be.Y)) {
+				guarded = true
+				return false
+			}
+			return true
+		})
+		if guarded {
+			return true
+		}
+	}
+	return false
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
 }
 
 // capGuarded reports whether the node path runs through an if-statement

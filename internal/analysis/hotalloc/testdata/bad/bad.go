@@ -1,6 +1,9 @@
 // Package bad exercises the hotalloc findings: unguarded allocation,
-// closures and interface boxing inside //cbma:hotpath functions.
+// closures, interface boxing and generator construction inside
+// //cbma:hotpath functions.
 package bad
+
+import "math/rand"
 
 func sink(v any) { _ = v }
 
@@ -36,4 +39,24 @@ func boxes(x int) any {
 	out = x // want "stored into interface"
 	sink(x) // want "converted to interface"
 	return out
+}
+
+// freshStream builds a new generator for every call.
+//
+//cbma:hotpath
+func freshStream(seed int64) float64 {
+	rng := rand.New(rand.NewSource(seed)) // want "rand.New in hot path" "rand.NewSource in hot path"
+	return rng.Float64()
+}
+
+// elseBranch constructs on the non-nil branch, which runs every call.
+//
+//cbma:hotpath
+func elseBranch(g *rand.Rand, seed int64) *rand.Rand {
+	if g == nil {
+		return nil
+	} else {
+		g = rand.New(rand.NewSource(seed)) // want "rand.New in hot path" "rand.NewSource in hot path"
+	}
+	return g
 }

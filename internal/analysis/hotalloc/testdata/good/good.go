@@ -1,8 +1,12 @@
 // Package good holds hot-path code hotalloc accepts: capacity-guarded
-// growth, cold error exits, unannotated helpers and a reviewed suppression.
+// growth, cold error exits, unannotated helpers, nil-guarded generator
+// initialization, re-seeding and a reviewed suppression.
 package good
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // grow follows the Into convention: allocation only behind a cap guard,
 // so steady-state calls reuse the buffer.
@@ -41,4 +45,16 @@ func unannotated(n int) []float64 {
 func table(n int) []int {
 	//cbma:allow hotalloc fixture demonstrates the suppression directive
 	return make([]int, n)
+}
+
+// reseed re-seeds a reused generator, constructing it only on first use.
+//
+//cbma:hotpath
+func reseed(gens []*rand.Rand, id int, seed int64) *rand.Rand {
+	if gens[id] == nil {
+		gens[id] = rand.New(rand.NewSource(seed))
+	} else {
+		gens[id].Seed(seed)
+	}
+	return gens[id]
 }

@@ -22,6 +22,8 @@ import (
 type FilterBank struct {
 	m     int
 	tmpls [][]float64
+	// all is the identity selection used when callers pass ids == nil.
+	all []int
 	// spectra is the frequency-domain template cache, shared with every
 	// clone of this bank.
 	spectra *bankSpectra
@@ -52,9 +54,14 @@ func NewFilterBank(templates [][]float64) (*FilterBank, error) {
 			return nil, ErrLengthMismatch
 		}
 	}
+	all := make([]int, len(templates))
+	for i := range all {
+		all[i] = i
+	}
 	return &FilterBank{
 		m:       m,
 		tmpls:   templates,
+		all:     all,
 		spectra: &bankSpectra{freq: make(map[int][][]complex128)},
 	}, nil
 }
@@ -64,7 +71,7 @@ func NewFilterBank(templates [][]float64) (*FilterBank, error) {
 // fb (and further clones) may run queries concurrently. Cloning is O(1) —
 // no template validation or transform work is repeated.
 func (fb *FilterBank) Clone() *FilterBank {
-	return &FilterBank{m: fb.m, tmpls: fb.tmpls, spectra: fb.spectra}
+	return &FilterBank{m: fb.m, tmpls: fb.tmpls, all: fb.all, spectra: fb.spectra}
 }
 
 // NumTemplates returns the number of templates in the bank.
@@ -156,15 +163,6 @@ func (fb *FilterBank) scratch(size int) (in, prod []complex128) {
 	return fb.in[:size], fb.prod[:size]
 }
 
-// allIDs is the identity selection used when callers pass ids == nil.
-func (fb *FilterBank) allIDs() []int {
-	ids := make([]int, len(fb.tmpls))
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 // CorrelateAll computes rows[j][k] = Σ_i x[lo+k+i] · t_{ids[j]}[i] for every
 // lag k in 0 … count-1 — the sliding correlation of complex samples against
 // each selected real template. ids == nil selects every template; rows must
@@ -175,7 +173,7 @@ func (fb *FilterBank) allIDs() []int {
 //cbma:hotpath
 func (fb *FilterBank) CorrelateAll(x []complex128, lo, count int, ids []int, rows [][]complex128) error {
 	if ids == nil {
-		ids = fb.allIDs()
+		ids = fb.all
 	}
 	if err := fb.checkQuery(len(x), lo, count, len(ids), len(rows)); err != nil {
 		return err
@@ -206,7 +204,7 @@ func (fb *FilterBank) CorrelateAll(x []complex128, lo, count int, ids []int, row
 //cbma:hotpath
 func (fb *FilterBank) CorrelateRealAll(x []float64, lo, count int, ids []int, rows [][]float64) error {
 	if ids == nil {
-		ids = fb.allIDs()
+		ids = fb.all
 	}
 	if err := fb.checkQuery(len(x), lo, count, len(ids), len(rows)); err != nil {
 		return err

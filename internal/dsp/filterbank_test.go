@@ -163,7 +163,7 @@ func TestFilterBankMatchesDirectLoops(t *testing.T) {
 		}
 		sel := ids
 		if sel == nil {
-			sel = fb.allIDs()
+			sel = fb.all
 		}
 
 		crows := make([][]complex128, len(sel))

@@ -125,19 +125,19 @@ func AppendBits(dst, payload []byte, cfg Config) ([]byte, error) {
 // receiver's decoder). It verifies the preamble, bounds-checks the length
 // field, and checks the CRC. The returned frame's payload is a copy.
 func Unmarshal(bits []byte, cfg Config) (Frame, error) {
-	pre, err := cfg.Preamble()
+	n, err := cfg.preambleBits()
 	if err != nil {
 		return Frame{}, err
 	}
-	if len(bits) < len(pre)+8+16 {
+	if len(bits) < n+8+16 {
 		return Frame{}, ErrTooShort
 	}
-	for i, want := range pre {
-		if bits[i] != want {
+	for i := 0; i < n; i++ {
+		if want := byte((i + 1) % 2); bits[i] != want { // 1,0,1,0,… as in Preamble
 			return Frame{}, fmt.Errorf("%w at bit %d", ErrPreamble, i)
 		}
 	}
-	rest := bits[len(pre):]
+	rest := bits[n:]
 	length := int(packByte(rest[:8]))
 	if length > MaxPayload {
 		return Frame{}, fmt.Errorf("%w: length byte %d", ErrLength, length)
@@ -146,16 +146,20 @@ func Unmarshal(bits []byte, cfg Config) (Frame, error) {
 	if len(rest) < need {
 		return Frame{}, fmt.Errorf("%w: need %d bits, have %d", ErrLength, need, len(rest))
 	}
-	body := make([]byte, 1+length)
-	for i := range body {
-		body[i] = packByte(rest[8*i : 8*i+8])
+	// The payload is the frame's only allocation: the CRC runs over the
+	// length byte and the payload as they are unpacked.
+	crc := checksumUpdate(0xFFFF, byte(length))
+	payload := make([]byte, length)
+	for i := range payload {
+		payload[i] = packByte(rest[8*(i+1) : 8*(i+2)])
+		crc = checksumUpdate(crc, payload[i])
 	}
-	wantCRC := uint16(packByte(rest[8*len(body):8*len(body)+8]))<<8 |
-		uint16(packByte(rest[8*len(body)+8:8*len(body)+16]))
-	if got := Checksum(body); got != wantCRC {
-		return Frame{}, fmt.Errorf("%w: got %#04x, want %#04x", ErrCRC, got, wantCRC)
+	end := 8 * (1 + length)
+	wantCRC := uint16(packByte(rest[end:end+8]))<<8 | uint16(packByte(rest[end+8:end+16]))
+	if crc != wantCRC {
+		return Frame{}, fmt.Errorf("%w: got %#04x, want %#04x", ErrCRC, crc, wantCRC)
 	}
-	return Frame{Payload: append([]byte(nil), body[1:]...)}, nil
+	return Frame{Payload: payload}, nil
 }
 
 // appendByteBits appends each byte MSB-first as 8 bit values.

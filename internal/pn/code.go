@@ -83,15 +83,20 @@ func (c Code) Discriminant() []float64 {
 // One chips, bit 0 the Zero chips. Both the tag's encoder and the
 // receiver's interference-cancellation reconstruction use this.
 func (c Code) Spread(bits []byte) []byte {
-	out := make([]byte, 0, len(bits)*c.Length())
+	return c.AppendSpread(make([]byte, 0, len(bits)*c.Length()), bits)
+}
+
+// AppendSpread appends the chip stream of bits (see Spread) to dst and
+// returns the extended slice; it allocates only when dst lacks capacity.
+func (c Code) AppendSpread(dst, bits []byte) []byte {
 	for _, b := range bits {
 		if b == 1 {
-			out = append(out, c.One...)
+			dst = append(dst, c.One...)
 		} else {
-			out = append(out, c.Zero...)
+			dst = append(dst, c.Zero...)
 		}
 	}
-	return out
+	return dst
 }
 
 // OnesWeight returns how many chips are active (1) in the bit-one sequence —

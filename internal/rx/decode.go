@@ -22,11 +22,7 @@ func (r *Receiver) decodeUser(x []complex128, id, lag int, phasor complex128) De
 	bitLen := len(tmpl)
 	pr, pi := real(phasor), imag(phasor)
 
-	pre, err := r.cfg.Frame.Preamble()
-	if err != nil {
-		out.Err = err
-		return out
-	}
+	pre := r.preamble
 	headerBits := len(pre) + 8
 
 	// Decision-directed phase tracking (Config.PhaseTracking): after each
@@ -55,7 +51,10 @@ func (r *Receiver) decodeUser(x []complex128, id, lag int, phasor complex128) De
 		pr, pi = nr/norm, ni/norm
 	}
 
-	bits := make([]byte, 0, headerBits+16)
+	// Decisions accumulate in stack storage: a frame never exceeds
+	// frame.MaxBits.
+	var buf [frame.MaxBits]byte
+	bits := buf[:0]
 	readBit := func(k int) (byte, error) {
 		startIdx := lag + k*bitLen
 		endIdx := startIdx + bitLen

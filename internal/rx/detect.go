@@ -44,8 +44,8 @@ type sweep struct {
 // every code through the filter bank, or returns nil when the bank's cost
 // model keeps the direct per-lag loops (small windows — the default
 // configuration — stay bit-identical with the naive scan). The returned
-// sweep aliases receiver scratch: it is valid until the next buildSweep
-// call and must not outlive it.
+// sweep lives in s: it is valid until the next buildSweep call and must not
+// outlive it.
 func (r *Receiver) buildSweep(s *Scratch, env []float64, x []complex128, globalStart int) *sweep {
 	lo, hi, ok := r.searchWindow(globalStart, len(x))
 	if !ok {
@@ -61,7 +61,8 @@ func (r *Receiver) buildSweep(s *Scratch, env []float64, x []complex128, globalS
 		r.noteFFTFallback("sweep", err)
 		return nil
 	}
-	sw := &sweep{lo: lo, count: count, coh: s.cohRows}
+	s.sweep = sweep{lo: lo, count: count, coh: s.cohRows}
+	sw := &s.sweep
 	if r.anySparse {
 		var sparseIDs []int
 		for id, sp := range r.sparse {
@@ -453,7 +454,7 @@ func (r *Receiver) detectAndDecodeAll(s *Scratch, env []float64, x []complex128,
 	sw := r.buildSweep(s, env, x, globalStart)
 	workers := r.workerCount(n)
 	if workers <= 1 {
-		var frames []DecodedFrame
+		frames := make([]DecodedFrame, 0, n)
 		for id := 0; id < n; id++ {
 			detSp := r.obs.Start(r.hDetect)
 			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)

@@ -166,6 +166,8 @@ type Receiver struct {
 	// and the detection sweep when the window is large enough (see
 	// dsp.FilterBank.ShouldUseFFT).
 	bank *dsp.FilterBank
+	// preamble is the configured preamble bit pattern.
+	preamble []byte
 	// Telemetry instruments, pre-resolved at construction (nil-safe no-ops
 	// without Config.Obs). Clones share them: the histograms are atomic, so
 	// parallel round workers aggregate into the same phase timings.
@@ -195,8 +197,10 @@ type Scratch struct {
 	alignRows   [][]float64
 	envRows     [][]float64
 	cohRows     [][]complex128
+	sweep       sweep
 	sicWork     []complex128
 	sicEnv      []float64
+	sicChips    [][]byte
 }
 
 // New builds a receiver and precomputes the per-code correlation templates.
@@ -211,6 +215,7 @@ func New(cfg Config) (*Receiver, error) {
 	}
 	r := &Receiver{
 		cfg:          c,
+		preamble:     pre,
 		obs:          c.Obs,
 		hSync:        c.Obs.Histogram("rx.phase.sync_ns"),
 		hDetect:      c.Obs.Histogram("rx.phase.detect_ns"),
@@ -275,6 +280,7 @@ func (r *Receiver) Clone() *Receiver {
 		anySparse:    r.anySparse,
 		chipTmpl:     r.chipTmpl,
 		bank:         r.bank.Clone(),
+		preamble:     r.preamble,
 		obs:          r.obs,
 		hSync:        r.hSync,
 		hDetect:      r.hDetect,

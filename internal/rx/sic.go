@@ -68,7 +68,7 @@ func (r *Receiver) receiveSIC(s *Scratch, samples []complex128, res *Result, env
 			}
 		}
 		decSp := r.obs.Start(r.hDecode)
-		accepted = r.decodeAndCancel(samples, work, envWork, res, accepted, bestID, bestDet)
+		accepted = r.decodeAndCancel(s, samples, work, envWork, res, accepted, bestID, bestDet)
 		decSp.End()
 	}
 	suppressGhosts(res.Frames)
@@ -79,22 +79,26 @@ func (r *Receiver) receiveSIC(s *Scratch, samples []complex128, res *Result, env
 // the accepted set, re-fits every accepted amplitude and rebuilds the
 // residual (work) and its envelope (envWork) from the original samples.
 // It returns the (possibly grown) accepted set.
-func (r *Receiver) decodeAndCancel(samples, work []complex128, envWork []float64, res *Result, accepted []sicUser, id int, det detection) []sicUser {
+func (r *Receiver) decodeAndCancel(s *Scratch, samples, work []complex128, envWork []float64, res *Result, accepted []sicUser, id int, det detection) []sicUser {
 	f := r.decodeUser(work, id, det.lag, det.phasor)
 	f.Corr = det.corr
 	res.Frames = append(res.Frames, f)
 	if !f.OK {
 		return accepted // cannot reconstruct an unverified frame
 	}
-	bits, err := frame.Marshal(f.Payload, r.cfg.Frame)
+	var buf [frame.MaxBits]byte
+	bits, err := frame.AppendBits(buf[:0], f.Payload, r.cfg.Frame)
 	if err != nil {
 		return accepted // cannot happen for a CRC-verified payload; fail open
 	}
-	accepted = append(accepted, sicUser{
-		id:    id,
-		lag:   f.Lag,
-		chips: r.cfg.Codes.Codes[id].Spread(bits),
-	})
+	// The accepted users' chip streams live in s.sicChips, one reused
+	// buffer per acceptance slot.
+	u := len(accepted)
+	if u == len(s.sicChips) {
+		s.sicChips = append(s.sicChips, nil)
+	}
+	s.sicChips[u] = r.cfg.Codes.Codes[id].AppendSpread(s.sicChips[u][:0], bits)
+	accepted = append(accepted, sicUser{id: id, lag: f.Lag, chips: s.sicChips[u]})
 	// Joint LS re-fit of every accepted amplitude against the original
 	// buffer, then rebuild the working residual. Per-user scalar fits
 	// leave 10–30% residuals when supports overlap; the joint solve
