@@ -26,14 +26,15 @@ type roundArena struct {
 	payloads [][]byte
 	offsets  []int
 	delays   []float64
-	gains    []complex128
-	// Mix stage: the waveform buffer each tag's frame is synthesized into
-	// in turn, the accumulation buffer, the intermittent-excitation gate and
-	// the multipath output.
-	wave []complex128
-	mix  []complex128
-	gate []float64
-	echo []complex128
+	// Mix stage: the realized link gains (for trace recording), the
+	// waveform buffer each tag's frame is synthesized into in turn, the
+	// accumulation buffer, the intermittent-excitation gate and the
+	// multipath output.
+	gains []complex128
+	wave  []complex128
+	mix   []complex128
+	gate  []float64
+	echo  []complex128
 	// ids backs the round result's delivered and acked index lists, two
 	// slots per active tag (see decodeAndAck). The parallel path points it
 	// at a per-run slab instead, because its results wait for the in-order

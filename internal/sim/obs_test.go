@@ -25,9 +25,17 @@ func testObserver() (*obs.Observer, *obs.Sink, *bytes.Buffer) {
 // TestRunObsEquivalence is the telemetry layer's hard invariant: attaching an
 // Observer — spans, counters and a live event sink — changes nothing about a
 // run's Metrics, at any worker count, including under the full fault
-// profile's quarantine and retry paths.
+// profile's quarantine and retry paths. Besides the pipeline fixtures it
+// runs a Gold-127 SIC shape (the FFT detection sweep under cancellation),
+// and every scenario must time all three receiver phases.
 func TestRunObsEquivalence(t *testing.T) {
-	for name, scn := range workerScenarios(t) {
+	scenarios := workerScenarios(t)
+	for _, g := range goldenShapes() {
+		if g.name == "gold127-sic" {
+			scenarios[g.name] = g.scn
+		}
+	}
+	for name, scn := range scenarios {
 		t.Run(name, func(t *testing.T) {
 			bare := scn
 			bare.Workers = 1
@@ -60,6 +68,11 @@ func TestRunObsEquivalence(t *testing.T) {
 				// equivalence above proves nothing.
 				if got := o.Counter("sim.rounds.executed").Value(); got != int64(m.RoundsExecuted) {
 					t.Errorf("W=%d: sim.rounds.executed = %d, want %d", workers, got, m.RoundsExecuted)
+				}
+				for _, phase := range []string{"rx.phase.sync_ns", "rx.phase.detect_ns", "rx.phase.decode_ns"} {
+					if o.Histogram(phase).Count() == 0 {
+						t.Errorf("W=%d: no %s spans recorded", workers, phase)
+					}
 				}
 				if err := sink.Close(); err != nil {
 					t.Fatal(err)

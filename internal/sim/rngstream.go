@@ -129,6 +129,9 @@ type roundStreams struct {
 	live uint32
 }
 
+// live holds one bit per stream; this fails to compile if they outgrow it.
+var _ [32 - numStreams]struct{}
+
 // newRoundStreams prepares the stream tree node for one round, drawing
 // from the generators in gens. runSeq distinguishes repeated
 // Run/RunSchedule calls on the same engine (each placement of a deployment

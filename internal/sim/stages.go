@@ -22,6 +22,9 @@ import (
 //	mixChannel          waveforms + links  -> one received I/Q buffer
 //	decodeAndAck        receiver + payload matching -> roundResult
 //
+// mixChannel synthesizes each tag's waveform itself, one tag at a time, so
+// a round holds a single frame of waveform samples whatever its tag count.
+//
 // The first two stages are pure with respect to engine state: they read the
 // scenario and tag configuration and write only into the caller's
 // roundArena scratch. decodeAndAck needs a receiver (workers own clones)
@@ -398,7 +401,7 @@ func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissi
 		a.ids = make([]int, 2*n)
 	}
 	res.delivered = a.ids[0:0:n]
-	res.acked = a.ids[n:n:2*n]
+	res.acked = a.ids[n : n : 2*n]
 	res.sent = n
 	res.samples = len(buf)
 	res.frames = out.Frames
