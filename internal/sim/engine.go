@@ -183,9 +183,10 @@ func NewEngine(scn Scenario) (*Engine, error) {
 
 // mixSpanFor bounds the mixing-buffer length of any round: the noise lead,
 // the widest relative tag delay the scenario's jitter, fixed extra delays
-// and fault-layer clock errors can produce, one frame, and the noise tail. Arenas size a fresh mixing buffer to it, so jitter never
-// regrows the buffer mid-run. (A replayed trace can exceed it; mixFor then
-// grows, which is correct, just not free.)
+// and fault-layer clock errors can produce, one frame, and the noise tail.
+// Arenas size a fresh mixing buffer to it, so jitter never regrows the
+// buffer mid-run. (A replayed trace can exceed it; mixFor then grows,
+// which is correct, just not free.)
 func (e *Engine) mixSpanFor() int {
 	spreadChips := e.scn.JitterChips
 	var lo, hi float64
@@ -253,10 +254,10 @@ func (e *Engine) powerControlConfig() mac.PowerControlConfig {
 
 // runRound simulates one collision round on the serial (phaseAdhoc) path:
 // every listed tag transmits one frame simultaneously; the receiver
-// decodes; tags hear ACKs. The result's index lists alias a until the
-// next round on it. The Algorithm 1 exploration batches,
+// decodes; tags hear ACKs. The Algorithm 1 exploration batches,
 // RunSchedule entries and the user-detection trials run through here — each
-// consumes the next adhoc round's stream node. Rounds run through the
+// consumes the next adhoc round's stream node. The result's index lists
+// alias a until the next round on it. Rounds run through the
 // resilient runner: a panicking or transiently failing round comes back
 // quarantined, not as an error.
 func (e *Engine) runRound(active []*tag.Tag, a *roundArena) (roundResult, error) {
