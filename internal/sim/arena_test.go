@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"slices"
@@ -34,7 +33,7 @@ func TestArenaReuseEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = metricsJSONOne(t, m)
+		want[i] = metricsDigest(t, m)
 	}
 	for _, reversed := range []bool{false, true} {
 		order := make([]int, len(points))
@@ -55,23 +54,14 @@ func TestArenaReuseEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				for j, i := range order {
-					if g := metricsJSONOne(t, got[j]); g != want[i] {
-						t.Errorf("point %d (shape %s) differs from its fresh-arena run:\n got %s\nwant %s",
+					if g := metricsDigest(t, got[j]); g != want[i] {
+						t.Errorf("point %d (shape %s): Metrics digest %s, fresh-arena run %s",
 							j, goldenShapes()[i].name, g, want[i])
 					}
 				}
 			})
 		}
 	}
-}
-
-func metricsJSONOne(t *testing.T, m Metrics) string {
-	t.Helper()
-	b, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 // TestSteadyRoundAllocs pins the allocation profile of a steady-state round
