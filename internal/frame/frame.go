@@ -67,10 +67,13 @@ func (c Config) Preamble() ([]byte, error) {
 	}
 	out := make([]byte, n)
 	for i := range out {
-		out[i] = byte((i + 1) % 2) // 1,0,1,0,…
+		out[i] = preambleBit(i)
 	}
 	return out, nil
 }
+
+// preambleBit is bit i of the alternating preamble 1,0,1,0,….
+func preambleBit(i int) byte { return byte((i + 1) % 2) }
 
 // BitLength returns the total marshalled frame size in bits for a payload of
 // p bytes: preamble + 8-bit length + payload + 16-bit CRC.
@@ -109,7 +112,7 @@ func AppendBits(dst, payload []byte, cfg Config) ([]byte, error) {
 		return dst, err
 	}
 	for i := 0; i < n; i++ {
-		dst = append(dst, byte((i+1)%2)) // 1,0,1,0,… as in Preamble
+		dst = append(dst, preambleBit(i))
 	}
 	length := byte(len(payload))
 	crc := checksumUpdate(0xFFFF, length)
@@ -133,7 +136,7 @@ func Unmarshal(bits []byte, cfg Config) (Frame, error) {
 		return Frame{}, ErrTooShort
 	}
 	for i := 0; i < n; i++ {
-		if want := byte((i + 1) % 2); bits[i] != want { // 1,0,1,0,… as in Preamble
+		if want := preambleBit(i); bits[i] != want {
 			return Frame{}, fmt.Errorf("%w at bit %d", ErrPreamble, i)
 		}
 	}

@@ -215,3 +215,42 @@ func TestBytesToBitsMSBFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendBitsMatchesMarshal pins AppendBits to Marshal, appending after
+// existing content, and checks MaxBits holds the longest frame: a
+// [MaxBits]byte buffer must take a maximal frame without allocating.
+func TestAppendBitsMatchesMarshal(t *testing.T) {
+	for _, cfg := range []Config{{}, {PreambleBits: 64}} {
+		for _, n := range []int{0, 5, MaxPayload} {
+			payload := make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(7*i + 3)
+			}
+			want, err := Marshal(payload, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := AppendBits([]byte{9, 9}, payload, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:2], []byte{9, 9}) || !bytes.Equal(got[2:], want) {
+				t.Fatalf("preamble %d, payload %d: AppendBits does not extend dst with Marshal's bits", cfg.PreambleBits, n)
+			}
+		}
+	}
+	payload := make([]byte, MaxPayload)
+	var buf [MaxBits]byte
+	allocs := testing.AllocsPerRun(10, func() {
+		bits, err := AppendBits(buf[:0], payload, Config{PreambleBits: 64})
+		if err != nil || len(bits) != MaxBits {
+			t.Fatalf("maximal frame: %d bits, err %v; want %d", len(bits), err, MaxBits)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("AppendBits into a [MaxBits]byte buffer allocated %v times", allocs)
+	}
+	if _, err := AppendBits(nil, make([]byte, MaxPayload+1), Config{}); !errors.Is(err, ErrPayloadTooLarge) {
+		t.Errorf("oversized payload: got %v, want ErrPayloadTooLarge", err)
+	}
+}

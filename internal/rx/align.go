@@ -38,8 +38,9 @@ func magnitudeWindowInto(dst []float64, x []complex128, lo, hi int) []float64 {
 
 // refineEdgePrefix is refineEdge with the per-position 16-sample rescan
 // replaced by an O(1) prefix-sum window (prefix, the power prefix sums
-// receive builds once per buffer). Scan bounds, thresholds and the returned edge match
-// the reference; only the window sum's floating-point association differs.
+// receive builds once per buffer). Scan bounds, thresholds and the
+// returned edge match the reference; only the window sum's floating-point
+// association differs.
 //
 //cbma:hotpath
 func (r *Receiver) refineEdgePrefix(power, prefix []float64, coarse int, noiseW float64) int {

@@ -377,11 +377,12 @@ func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64, a *
 		}
 		return nil
 	}
-	return e.runSteadyParallel(ctx, m, seq, packets, workers)
+	return e.runSteadyParallel(ctx, m, seq, packets, workers, a)
 }
 
 // runSteadyParallel fans the steady-state rounds out to workers goroutines,
-// each owning a cloned receiver and a borrowed arena. Rounds are claimed off
+// each owning a cloned receiver and an arena (the first worker takes the
+// run's arena a, the others borrow their own). Rounds are claimed off
 // an atomic counter, executed out of order, then committed and merged in
 // round order by the coordinator. Errors do not short-circuit — a failing
 // round is a configuration bug, not a steady-state event — so every round's
@@ -390,7 +391,7 @@ func (e *Engine) runSteadyState(ctx context.Context, m *Metrics, seq uint64, a *
 // claims; the coordinator then commits only the contiguous prefix of
 // completed rounds, so an interrupted run's metrics are a prefix of the
 // full run's (rounds finished beyond the first gap are discarded).
-func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, packets, workers int) error {
+func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, packets, workers int, a *roundArena) error {
 	results := make([]roundResult, packets)
 	errs := make([]error, packets)
 	done := make([]bool, packets)
@@ -403,14 +404,20 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		// Worker 0 runs on the run's own arena; the others borrow one.
+		wa := a
+		if w > 0 {
+			wa = getArena()
+		}
+		go func(a *roundArena, borrowed bool) {
 			defer wg.Done()
-			recv := e.recv.Clone()
-			a := getArena()
 			defer func() {
-				a.ids = nil
-				putArena(a)
+				a.ids = nil // the slab must not outlive the run
+				if borrowed {
+					putArena(a)
+				}
 			}()
+			recv := e.recv.Clone()
 			for {
 				p := int(next.Add(1))
 				if p >= packets {
@@ -424,7 +431,7 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 				results[p], errs[p] = e.resilientRound(e.tags, &rs, a, recv)
 				done[p] = true
 			}
-		}()
+		}(wa, w > 0)
 	}
 	wg.Wait()
 	for p := 0; p < packets; p++ {
