@@ -9,8 +9,9 @@ import (
 
 // roundArena is the reusable scratch of one goroutine executing rounds:
 // everything a round writes that does not outlive it. Each Engine.RunContext
-// or RunSchedule call, and each steady-state worker goroutine, borrows one
-// arena from arenaPool for its duration, so steady-state rounds allocate
+// or RunSchedule call borrows one arena from arenaPool for its duration
+// (its first steady-state worker goroutine runs on it, each further worker
+// borrows its own), so steady-state rounds allocate
 // nothing, and an arena warmed by one campaign point serves the next point
 // too, whatever its tag count, code length or receiver mode.
 //
