@@ -13,8 +13,9 @@
 //   - random-generator construction (math/rand New/NewSource and the
 //     math/rand/v2 constructors): a fresh lagged-Fibonacci source is ~5 KB,
 //     so a per-round stream must re-seed a reused generator instead. Only
-//     nil-guarded lazy initialization (inside `if g == nil { … }`) is
-//     exempt — it runs once per reused slot.
+//     nil-guarded lazy initialization (`if g == nil { g = … }`, the nil
+//     test on the very slot being assigned) is exempt — it runs once per
+//     reused slot.
 //
 // Allocation moved behind a call into an unannotated helper is out of the
 // analyzer's intraprocedural scope by design: the convention is that hot
@@ -223,29 +224,58 @@ func randConstructor(pass *framework.Pass, call *ast.CallExpr) (string, bool) {
 	return fn.Pkg().Name() + "." + fn.Name(), true
 }
 
-// nilGuarded reports whether the node path runs through the body of an
-// if-statement whose condition tests something `== nil` — the lazy
-// initialization shape `if g == nil { g = … }`, which constructs once per
-// slot and then reuses.
+// nilGuarded reports whether the constructor at the end of the node path
+// is the lazy initialization shape `if g == nil { g = … }`: its result is
+// assigned (not declared) to an expression that an enclosing if-statement
+// compares against nil, so it constructs once per slot and then reuses. A
+// nil test of anything else (`if err == nil`) guards nothing.
 func nilGuarded(path []ast.Node) bool {
+	ai := -1
 	for i := len(path) - 2; i >= 0; i-- {
+		if _, ok := path[i].(*ast.AssignStmt); ok {
+			ai = i
+			break
+		}
+	}
+	if ai < 0 {
+		return false
+	}
+	as := path[ai].(*ast.AssignStmt)
+	if as.Tok != token.ASSIGN {
+		return false
+	}
+	for i := ai - 1; i >= 0; i-- {
 		ifs, ok := path[i].(*ast.IfStmt)
 		if !ok || path[i+1] != ifs.Body {
 			continue
 		}
-		guarded := false
-		ast.Inspect(ifs.Cond, func(n ast.Node) bool {
-			if be, ok := n.(*ast.BinaryExpr); ok && be.Op == token.EQL && (isNilIdent(be.X) || isNilIdent(be.Y)) {
-				guarded = true
-				return false
+		for _, lhs := range as.Lhs {
+			if comparesNil(ifs.Cond, lhs) {
+				return true
 			}
-			return true
-		})
-		if guarded {
-			return true
 		}
 	}
 	return false
+}
+
+// comparesNil reports whether cond contains `x == nil` (or `nil == x`) for
+// an x written exactly like target.
+func comparesNil(cond ast.Expr, target ast.Expr) bool {
+	want := types.ExprString(target)
+	found := false
+	ast.Inspect(cond, func(n ast.Node) bool {
+		be, ok := n.(*ast.BinaryExpr)
+		if !ok || be.Op != token.EQL {
+			return !found
+		}
+		switch {
+		case isNilIdent(be.Y) && types.ExprString(be.X) == want,
+			isNilIdent(be.X) && types.ExprString(be.Y) == want:
+			found = true
+		}
+		return !found
+	})
+	return found
 }
 
 func isNilIdent(e ast.Expr) bool {

@@ -60,3 +60,27 @@ func elseBranch(g *rand.Rand, seed int64) *rand.Rand {
 	}
 	return g
 }
+
+// errGuarded constructs under a nil test of something else, so every
+// successful call builds a generator.
+//
+//cbma:hotpath
+func errGuarded(seed int64, err error) *rand.Rand {
+	var g *rand.Rand
+	if err == nil {
+		g = rand.New(rand.NewSource(seed)) // want "rand.New in hot path" "rand.NewSource in hot path"
+	}
+	return g
+}
+
+// shadowed declares a fresh generator inside the guard instead of filling
+// the slot, so the slot stays nil and the guard fires on every call.
+//
+//cbma:hotpath
+func shadowed(g *rand.Rand, seed int64) float64 {
+	if g == nil {
+		g := rand.New(rand.NewSource(seed)) // want "rand.New in hot path" "rand.NewSource in hot path"
+		return g.Float64()
+	}
+	return g.Float64()
+}

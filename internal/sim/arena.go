@@ -36,11 +36,6 @@ type roundArena struct {
 	mix   []complex128
 	gate  []float64
 	echo  []complex128
-	// ids backs the round result's delivered and acked index lists, two
-	// slots per active tag (see decodeAndAck). The parallel path points it
-	// at a per-run slab instead, because its results wait for the in-order
-	// commit.
-	ids []int
 	// rx is the receiver's per-call scratch.
 	rx rx.Scratch
 	// gens holds one reusable generator per stream.

@@ -256,8 +256,7 @@ func (e *Engine) powerControlConfig() mac.PowerControlConfig {
 // every listed tag transmits one frame simultaneously; the receiver
 // decodes; tags hear ACKs. The Algorithm 1 exploration batches,
 // RunSchedule entries and the user-detection trials run through here — each
-// consumes the next adhoc round's stream node. The result's index lists
-// alias a until the next round on it. Rounds run through the
+// consumes the next adhoc round's stream node. Rounds run through the
 // resilient runner: a panicking or transiently failing round comes back
 // quarantined, not as an error.
 func (e *Engine) runRound(active []*tag.Tag, a *roundArena) (roundResult, error) {
@@ -395,10 +394,6 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 	results := make([]roundResult, packets)
 	errs := make([]error, packets)
 	done := make([]bool, packets)
-	// Results wait for the in-order commit, so each round's index lists
-	// live in its own slab segment rather than in the worker's arena.
-	n := len(e.tags)
-	ids := make([]int, 2*n*packets)
 	var next atomic.Int64
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -411,12 +406,9 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 		}
 		go func(a *roundArena, borrowed bool) {
 			defer wg.Done()
-			defer func() {
-				a.ids = nil // the slab must not outlive the run
-				if borrowed {
-					putArena(a)
-				}
-			}()
+			if borrowed {
+				defer putArena(a)
+			}
 			recv := e.recv.Clone()
 			for {
 				p := int(next.Add(1))
@@ -426,7 +418,6 @@ func (e *Engine) runSteadyParallel(ctx context.Context, m *Metrics, seq uint64, 
 				if ctx.Err() != nil {
 					return
 				}
-				a.ids = ids[2*n*p : 2*n*(p+1) : 2*n*(p+1)]
 				rs := a.streams(e.scn.Seed, seq, phaseSteady, uint64(p))
 				results[p], errs[p] = e.resilientRound(e.tags, &rs, a, recv)
 				done[p] = true

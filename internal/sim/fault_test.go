@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cbma/internal/fault"
+	"cbma/internal/tag"
 )
 
 // faultScenario is the chaos fixture: a small run with an execution-fault
@@ -130,11 +131,13 @@ func TestRetriedRoundsReproduce(t *testing.T) {
 			t.Fatalf("round %d: no transient failure at probability 1", p)
 		}
 		recovered++
+		cdet, fdet := detectedIDs(cres, eClean.tags), detectedIDs(fres, eFault.tags)
 		if cres.sent != fres.sent || cres.detected != fres.detected ||
-			!reflect.DeepEqual(cres.delivered, fres.delivered) {
-			t.Errorf("round %d: retried result diverged from clean result:\n  clean:   sent=%d detected=%d delivered=%v\n  retried: sent=%d detected=%d delivered=%v",
-				p, cres.sent, cres.detected, cres.delivered,
-				fres.sent, fres.detected, fres.delivered)
+			!reflect.DeepEqual(cres.delivered, fres.delivered) ||
+			!reflect.DeepEqual(cdet, fdet) {
+			t.Errorf("round %d: retried result diverged from clean result:\n  clean:   sent=%d detected=%v delivered=%v\n  retried: sent=%d detected=%v delivered=%v",
+				p, cres.sent, cdet, cres.delivered,
+				fres.sent, fdet, fres.delivered)
 		}
 	}
 	// FailAttempts is uniform over [1, 4] against a 4-attempt budget, so
@@ -142,6 +145,18 @@ func TestRetriedRoundsReproduce(t *testing.T) {
 	if recovered < scn.Packets/2 {
 		t.Fatalf("only %d of %d rounds recovered within the retry budget", recovered, scn.Packets)
 	}
+}
+
+// detectedIDs lists, in frame order, the tag IDs of the round's decoded
+// frames whose sender transmitted this round.
+func detectedIDs(res roundResult, active []*tag.Tag) []int {
+	var ids []int
+	for _, f := range res.frames {
+		if activeIndex(active, f.TagID) >= 0 {
+			ids = append(ids, f.TagID)
+		}
+	}
+	return ids
 }
 
 // TestRunContextAlreadyCancelled: a cancelled context stops the run before

@@ -56,7 +56,7 @@ func (eo *engineObs) record(round uint64, res roundResult) {
 	f := map[string]any{
 		"round":     round,
 		"sent":      res.sent,
-		"delivered": res.delivered,
+		"delivered": len(res.delivered),
 		"acked":     len(res.acked),
 	}
 	if res.quarantined {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -50,7 +51,7 @@ func TestRunObsEquivalence(t *testing.T) {
 			for _, workers := range []int{1, 4, 7} {
 				s := scn
 				s.Workers = workers
-				o, sink, _ := testObserver()
+				o, sink, buf := testObserver()
 				s.Obs = o
 				e, err := NewEngine(s)
 				if err != nil {
@@ -80,8 +81,43 @@ func TestRunObsEquivalence(t *testing.T) {
 				if sink.Written() == 0 {
 					t.Errorf("W=%d: no events written", workers)
 				}
+				checkRoundEvents(t, workers, buf.Bytes(), s.Packets, m.FramesDelivered)
 			}
 		})
+	}
+}
+
+// checkRoundEvents decodes a run's event log and checks its round events
+// against the run's Metrics: every "delivered" field is a count, and the
+// last packets round events — the steady-state rounds, committed after any
+// power-control exploration — sum to framesDelivered.
+func checkRoundEvents(t *testing.T, workers int, log []byte, packets, framesDelivered int) {
+	t.Helper()
+	var delivered []float64
+	dec := json.NewDecoder(bytes.NewReader(log))
+	for dec.More() {
+		var ev obs.Event
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatalf("W=%d: decoding event log: %v", workers, err)
+		}
+		if ev.Type != "round" {
+			continue
+		}
+		n, ok := ev.Fields["delivered"].(float64)
+		if !ok {
+			t.Fatalf("W=%d: round event delivered = %#v, want a number", workers, ev.Fields["delivered"])
+		}
+		delivered = append(delivered, n)
+	}
+	if len(delivered) < packets {
+		t.Fatalf("W=%d: %d round events, want at least %d", workers, len(delivered), packets)
+	}
+	sum := 0
+	for _, n := range delivered[len(delivered)-packets:] {
+		sum += int(n)
+	}
+	if sum != framesDelivered {
+		t.Errorf("W=%d: steady-state round events deliver %d frames, Metrics %d", workers, sum, framesDelivered)
 	}
 }
 

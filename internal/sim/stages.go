@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"cbma/internal/channel"
 	"cbma/internal/dsp"
@@ -60,7 +59,9 @@ type roundResult struct {
 	// delivered indexes into the active slice: tags whose frame decoded
 	// with correct payload and CRC. acked indexes the tags whose ACK
 	// survived the downlink loss draw, applied to tag state by
-	// Engine.commitRound. Both are backed by roundArena.ids.
+	// Engine.commitRound. Both are allocated per round: parallel results
+	// wait for the in-order commit and the event sink, so they must not
+	// alias arena scratch.
 	delivered []int
 	acked     []int
 	// recorded carries the round's trace samples when recording is on.
@@ -397,11 +398,8 @@ func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissi
 		return res, err
 	}
 	n := len(tx.active)
-	if cap(a.ids) < 2*n {
-		a.ids = make([]int, 2*n)
-	}
-	res.delivered = a.ids[0:0:n]
-	res.acked = a.ids[n : n : 2*n]
+	res.delivered = make([]int, 0, n)
+	res.acked = make([]int, 0, n)
 	res.sent = n
 	res.samples = len(buf)
 	res.frames = out.Frames
@@ -452,9 +450,12 @@ func (e *Engine) decodeAndAck(recv *rx.Receiver, buf []complex128, tx transmissi
 	// fault stream's consumption is position-independent.
 	if e.inj != nil && e.inj.SpuriousAcks() {
 		srng := rs.rng(StreamFaultAck)
-		heard := res.acked // the real ACKs; appends below do not extend it
+		heard := make([]bool, n)
+		for _, idx := range res.acked {
+			heard[idx] = true
+		}
 		for idx := range tx.active {
-			if !slices.Contains(heard, idx) && e.inj.SpuriousAck(srng) {
+			if !heard[idx] && e.inj.SpuriousAck(srng) {
 				res.acked = append(res.acked, idx)
 				fc.SpuriousAcks++
 			}
