@@ -60,7 +60,7 @@ func run(argv []string) error {
 		parallel     = fs.Int("parallel", 1, "concurrently executing batches")
 		drainWait    = fs.Duration("drain-wait", 30*time.Second, "shutdown budget for in-flight batches")
 		shards       = fs.Int("shards", 0, "execute each batch sharded across this many worker processes (0: in-process)")
-		journalDir   = fs.String("journal-dir", "", "root directory for per-campaign shard journals (with -shards; enables crash-tolerant resume)")
+		journalDir   = fs.String("journal-dir", "", "shard journal directory: committed points are stored by content and reused by every later batch (with -shards; enables crash-tolerant resume)")
 		shardWorker  = fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout and exit (spawned by the coordinator)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -93,9 +93,9 @@ func run(argv []string) error {
 	var runner core.Runner = core.CampaignRunner{}
 	if *shards > 0 {
 		// Sharded execution: each batch runs as a journaled campaign across
-		// worker processes (this binary, re-exec'd with -shard-worker), so a
-		// daemon restart mid-campaign resumes from committed points instead
-		// of recomputing them.
+		// worker processes (this binary, re-exec'd with -shard-worker), so
+		// after a daemon restart a resubmitted job restores its committed
+		// points instead of recomputing them, however it is re-batched.
 		sub, err := shard.NewSubprocess(shard.SubprocessConfig{})
 		if err != nil {
 			return err

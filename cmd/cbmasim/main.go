@@ -145,7 +145,7 @@ func run(ctx context.Context, args []string) error {
 		obsOut      = fs.String("obs-out", "obs", "directory for events.jsonl and manifest.json (with -obs)")
 		pprofAddr   = fs.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 		shards      = fs.Int("shards", 0, "run as a sharded campaign across this many worker processes (0 disables; implies crash-tolerant dispatch)")
-		resume      = fs.String("resume", "", "journal directory for checkpointed, resumable execution (implies -shards 1 when -shards is unset)")
+		resume      = fs.String("resume", "", "journal directory for checkpointed, resumable execution: committed points are stored by content and reused by any campaign run against it (implies -shards 1 when -shards is unset)")
 		shardWorker = fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout and exit (spawned by the coordinator)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -263,10 +263,10 @@ func run(ctx context.Context, args []string) error {
 			return err
 		}
 		coord = shard.New(shard.Config{
-			Shards:     shardN,
-			Transport:  sub,
-			JournalDir: *resume,
-			Obs:        o,
+			Shards:      shardN,
+			Transport:   sub,
+			JournalRoot: *resume,
+			Obs:         o,
 		})
 	}
 	// finishObs flushes the event sink and writes the run manifest; it is

@@ -11,23 +11,19 @@ import (
 // Key identifies one cached campaign-point result. ScenarioHash is
 // Scenario.Hash() — it already covers the scenario's seed, but Seed is
 // carried explicitly so operators can shard or expire cache contents by
-// seed without parsing scenarios back out of digests. Options fingerprints
-// any future execution option that changes results; today no campaign
-// option does (worker budgets and labels are result-neutral), so it is
-// empty and exists to keep the key shape stable when that changes.
+// seed without parsing scenarios back out of digests. No campaign option
+// enters the key: worker budgets, labels and the campaign a point came
+// from are all result-neutral, which is what lets the result cache and
+// the shard journal share one store format.
 type Key struct {
 	ScenarioHash string `json:"scenario_hash"`
 	Seed         int64  `json:"seed"`
-	Options      string `json:"options,omitempty"`
 }
 
 // ID renders the key as a single filename-safe token — the content address
 // of the on-disk backend.
 func (k Key) ID() string {
-	if k.Options == "" {
-		return fmt.Sprintf("%s-%d", k.ScenarioHash, k.Seed)
-	}
-	return fmt.Sprintf("%s-%d-%s", k.ScenarioHash, k.Seed, k.Options)
+	return fmt.Sprintf("%s-%d", k.ScenarioHash, k.Seed)
 }
 
 // Entry is one stored result.

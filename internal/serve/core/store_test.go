@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"cbma/internal/obs"
@@ -177,10 +176,6 @@ func TestKeyID(t *testing.T) {
 	k := Key{ScenarioHash: "abc", Seed: -3}
 	if got := k.ID(); got != "abc--3" {
 		t.Errorf("ID = %q", got)
-	}
-	k.Options = "opt"
-	if got := k.ID(); !strings.HasSuffix(got, "-opt") {
-		t.Errorf("ID with options = %q, want -opt suffix", got)
 	}
 }
 

@@ -2,12 +2,13 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"cbma/internal/obs"
+	"cbma/internal/serve/core"
 	"cbma/internal/sim"
 )
 
@@ -24,69 +25,107 @@ func journalHashes(t *testing.T, points []sim.Scenario) []string {
 	return hashes
 }
 
-// TestJournalRoundTrip: commit, reopen, read back — the committed set
-// survives a coordinator restart byte-identically.
+// fixedTransport delivers the same Metrics for every assigned point, so a
+// result read back later is recognisably the committed one, not a rerun.
+type fixedTransport struct{ m sim.Metrics }
+
+func (f fixedTransport) Execute(ctx context.Context, a Assignment, sink Sink) error {
+	for _, i := range a.Indices {
+		if err := sink.Deliver(PointResult{Index: i, Metrics: f.m}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestJournalRoundTrip: commit, restart, read back — the committed point
+// survives a coordinator restart byte-identically. The journal addresses
+// points by (scenario hash, seed) alone, so the same point at another
+// campaign index is the same entry, and an uncommitted point still runs.
 func TestJournalRoundTrip(t *testing.T) {
 	points := campaignPoints(t, false)
-	hashes := journalHashes(t, points)
 	dir := t.TempDir()
 
-	j, err := OpenJournal(dir, "rt", hashes, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	m := sim.Metrics{FramesSent: 7, FramesDelivered: 5, FER: 0.25}
-	j.Commit(2, hashes[2], points[2].Seed, m)
+	c1 := New(Config{Transport: fixedTransport{m}, JournalRoot: dir})
+	if _, err := c1.Run(context.Background(), points[2:3], sim.CampaignOpts{}); err != nil {
+		t.Fatal(err)
+	}
 
-	j2, err := OpenJournal(dir, "rt", hashes, nil)
+	run := newIndexCountingRunner()
+	c2 := New(Config{Transport: Local{Runner: run}, JournalRoot: dir})
+	got, err := c2.Run(context.Background(), []sim.Scenario{points[1], points[2]}, sim.CampaignOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := j2.Committed(2, hashes[2], points[2].Seed)
-	if !ok {
-		t.Fatal("committed point lost across reopen")
+	metricsEqualJSON(t, []sim.Metrics{m}, got[1:])
+	if n := run.total(); n != 1 {
+		t.Fatalf("executed %d points, want 1 (only the uncommitted one)", n)
 	}
-	metricsEqualJSON(t, []sim.Metrics{m}, []sim.Metrics{got})
-	if _, ok := j2.Committed(1, hashes[1], points[1].Seed); ok {
-		t.Fatal("uncommitted point reported as committed")
+	want, err := sim.RunCampaign(points[1:2], sim.CampaignOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The same scenario hash under a different campaign index is a
-	// different journal slot: index is part of the address.
-	if _, ok := j2.Committed(3, hashes[2], points[2].Seed); ok {
-		t.Fatal("index not part of the journal address")
+	metricsEqualJSON(t, want, got[:1])
+}
+
+// TestJournalCrossCampaignReuse: two campaigns share one journal root.
+// The second reorders and repeats a point the first committed; only its
+// genuinely new point executes, and its results are bit-identical to a
+// single-process run of the same campaign.
+func TestJournalCrossCampaignReuse(t *testing.T) {
+	p := campaignPoints(t, false)
+	root := t.TempDir()
+
+	a := []sim.Scenario{p[0], p[1]}
+	ca := New(Config{Shards: 2, Transport: Local{}, JournalRoot: root, Backoff: time.Millisecond})
+	if _, err := ca.Run(context.Background(), a, sim.CampaignOpts{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+
+	b := []sim.Scenario{p[2], p[1], p[1]}
+	want, err := sim.RunCampaign(b, sim.CampaignOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := newIndexCountingRunner()
+	o := obs.New(obs.Config{})
+	cb := New(Config{Shards: 2, Transport: Local{Runner: run}, JournalRoot: root, Backoff: time.Millisecond, Obs: o})
+	got, err := cb.Run(context.Background(), b, sim.CampaignOpts{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	metricsEqualJSON(t, want, got)
+	h2 := journalHashes(t, p[2:3])[0]
+	if n := run.total(); n != 1 || run.counts[h2] != 1 {
+		t.Errorf("campaign B executed %v, want exactly one run of p2", run.counts)
+	}
+	if n := o.Counter("shard.points.restored").Value(); n != 2 {
+		t.Errorf("campaign B restored %d points, want 2", n)
 	}
 }
 
-// TestJournalMismatchRefused (satellite: resume semantics): a journal
-// directory holding a different campaign — different points, order or
-// count — is refused with the typed ErrJournalMismatch, both at the
-// journal layer and through the coordinator.
-func TestJournalMismatchRefused(t *testing.T) {
+// TestJournalIsResultCache: the journal and the result cache share one
+// format, so after a sharded run the journal directory opened as a plain
+// core.DiskStore serves every committed point's Metrics.
+func TestJournalIsResultCache(t *testing.T) {
 	points := campaignPoints(t, false)
-	hashes := journalHashes(t, points)
-	dir := t.TempDir()
-	if _, err := OpenJournal(dir, "a", hashes, nil); err != nil {
+	root := t.TempDir()
+	c := New(Config{Shards: 2, Transport: Local{}, JournalRoot: root, Backoff: time.Millisecond})
+	want, err := c.Run(context.Background(), points, sim.CampaignOpts{Workers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	other := campaignPoints(t, false)
-	other[0].Seed++
-	otherHashes := journalHashes(t, other)
-	if _, err := OpenJournal(dir, "a", otherHashes, nil); !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("different campaign: err = %v, want ErrJournalMismatch", err)
+	store, err := core.NewDiskStore(root, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Reordering the same points is also a different campaign: results
-	// are stored by campaign index.
-	reordered := append([]string(nil), hashes...)
-	reordered[0], reordered[1] = reordered[1], reordered[0]
-	if _, err := OpenJournal(dir, "a", reordered, nil); !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("reordered campaign: err = %v, want ErrJournalMismatch", err)
-	}
-	// And through the coordinator, so CLI -resume with a stale directory
-	// fails loudly instead of serving the wrong campaign's results.
-	c := New(Config{JournalDir: dir})
-	if _, err := c.Run(context.Background(), other, sim.CampaignOpts{}); !errors.Is(err, ErrJournalMismatch) {
-		t.Fatalf("coordinator resume: err = %v, want ErrJournalMismatch", err)
+	for i, h := range journalHashes(t, points) {
+		e, ok := store.Get(core.Key{ScenarioHash: h, Seed: points[i].Seed})
+		if !ok {
+			t.Fatalf("point %d missing from the journal read as a result cache", i)
+		}
+		metricsEqualJSON(t, want[i:i+1], []sim.Metrics{e.Metrics})
 	}
 }
 
@@ -103,7 +142,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	dir := t.TempDir()
 
 	run1 := newIndexCountingRunner()
-	c1 := New(Config{Shards: 2, Transport: Local{Runner: run1}, JournalDir: dir, Backoff: time.Millisecond})
+	c1 := New(Config{Shards: 2, Transport: Local{Runner: run1}, JournalRoot: dir, Backoff: time.Millisecond})
 	if _, err := c1.Run(context.Background(), points, sim.CampaignOpts{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +150,7 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	// Tear one committed entry the way a crash mid-write would have (the
 	// rename is atomic, so a REAL torn write can only be a stranded temp
 	// file — but belt and braces, damage the final file too).
-	entries, err := filepath.Glob(filepath.Join(dir, "points", "*.json"))
+	entries, err := filepath.Glob(filepath.Join(dir, "*.json"))
 	if err != nil || len(entries) != len(points) {
 		t.Fatalf("journal holds %d entries (err %v), want %d", len(entries), err, len(points))
 	}
@@ -122,12 +161,12 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if err := os.WriteFile(entries[0], b[:len(b)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "points", "put-stranded.tmp"), []byte("partial"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "put-stranded.tmp"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	run2 := newIndexCountingRunner()
-	c2 := New(Config{Shards: 2, Transport: Local{Runner: run2}, JournalDir: dir, Backoff: time.Millisecond})
+	c2 := New(Config{Shards: 2, Transport: Local{Runner: run2}, JournalRoot: dir, Backoff: time.Millisecond})
 	got, err := c2.Run(context.Background(), points, sim.CampaignOpts{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -135,38 +174,5 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	metricsEqualJSON(t, want, got)
 	if n := run2.total(); n != 1 {
 		t.Errorf("resume after torn write executed %d points, want exactly 1 (the damaged entry)", n)
-	}
-}
-
-// TestJournalRootDerivesPerCampaignDir: with JournalRoot, two different
-// campaigns journal side by side without colliding.
-func TestJournalRootDerivesPerCampaignDir(t *testing.T) {
-	root := t.TempDir()
-	a := campaignPoints(t, false)[:2]
-	b := campaignPoints(t, false)[2:4]
-
-	ca := New(Config{JournalRoot: root, Backoff: time.Millisecond})
-	if _, err := ca.Run(context.Background(), a, sim.CampaignOpts{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	cb := New(Config{JournalRoot: root, Backoff: time.Millisecond})
-	if _, err := cb.Run(context.Background(), b, sim.CampaignOpts{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := os.ReadDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) != 2 {
-		t.Fatalf("journal root holds %d campaign dirs, want 2", len(dirs))
-	}
-	// Resuming campaign a under the same root restores everything.
-	run := newIndexCountingRunner()
-	ca2 := New(Config{JournalRoot: root, Transport: Local{Runner: run}})
-	if _, err := ca2.Run(context.Background(), a, sim.CampaignOpts{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if n := run.total(); n != 0 {
-		t.Errorf("resume under JournalRoot executed %d points, want 0", n)
 	}
 }

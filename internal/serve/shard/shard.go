@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -12,6 +11,7 @@ import (
 
 	"cbma/internal/fault"
 	"cbma/internal/obs"
+	"cbma/internal/serve/core"
 	"cbma/internal/sim"
 )
 
@@ -57,13 +57,11 @@ type Config struct {
 	// per consecutive failure up to MaxBackoff. Zeros mean 50ms and 1s.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// JournalDir, when set, journals committed points there and resumes
-	// from any committed points already present (the directory must hold
-	// this campaign's journal or none — see ErrJournalMismatch).
-	JournalDir string
-	// JournalRoot, when set (and JournalDir is not), derives a per-
-	// campaign journal directory under it from the campaign hash, so one
-	// root can journal many campaigns without collision.
+	// JournalRoot, when set, is the directory of the journal: a flat
+	// core.DiskStore keyed by (Scenario.Hash(), seed), the same key and
+	// file format as the result cache. Every committed point is Put there,
+	// and any point whose key is already present is restored instead of
+	// executed — whichever campaign, batch or sweep committed it.
 	JournalRoot string
 	// WorkerFaults, when non-nil and enabled, wraps the transport in the
 	// chaos decorator (FaultyTransport) injecting worker crashes, stalls
@@ -165,9 +163,14 @@ func (c *Coordinator) Run(ctx context.Context, points []sim.Scenario, opts sim.C
 		runnable = append(runnable, i)
 	}
 
-	journal, err := c.openJournal(what, hashes, o)
-	if err != nil {
-		return nil, err
+	// The journal is opened per run so its corruption counters reach this
+	// campaign's observer.
+	var journal *core.DiskStore
+	if c.cfg.JournalRoot != "" {
+		var err error
+		if journal, err = core.NewDiskStore(c.cfg.JournalRoot, o); err != nil {
+			return nil, err
+		}
 	}
 
 	// Resume: points already committed in the journal are restored, not
@@ -176,8 +179,8 @@ func (c *Coordinator) Run(ctx context.Context, points []sim.Scenario, opts sim.C
 	restored := 0
 	for _, i := range runnable {
 		if journal != nil {
-			if m, ok := journal.Committed(i, hashes[i], points[i].Seed); ok {
-				out[i] = m
+			if e, ok := journal.Get(core.Key{ScenarioHash: hashes[i], Seed: points[i].Seed}); ok {
+				out[i] = e.Metrics
 				restored++
 				continue
 			}
@@ -210,24 +213,11 @@ func (c *Coordinator) Run(ctx context.Context, points []sim.Scenario, opts sim.C
 	return out, nil
 }
 
-// openJournal resolves the configured journal location, deriving a per-
-// campaign directory under JournalRoot when no explicit dir is given.
-func (c *Coordinator) openJournal(what string, hashes []string, o *obs.Observer) (*Journal, error) {
-	dir := c.cfg.JournalDir
-	if dir == "" && c.cfg.JournalRoot != "" {
-		dir = filepath.Join(c.cfg.JournalRoot, CampaignHash(hashes)[:16])
-	}
-	if dir == "" {
-		return nil, nil
-	}
-	return OpenJournal(dir, what, hashes, o)
-}
-
 // dispatch cuts the pending points into ranges and drains them through the
 // transport with retries, reassignment and quarantine. It returns once
 // every range is resolved (committed, failed, quarantined) or the context
 // is cancelled.
-func (c *Coordinator) dispatch(ctx context.Context, points []sim.Scenario, hashes []string, pending []int, opts sim.CampaignOpts, o *obs.Observer, journal *Journal, what string, out []sim.Metrics, perr []*sim.PointError) {
+func (c *Coordinator) dispatch(ctx context.Context, points []sim.Scenario, hashes []string, pending []int, opts sim.CampaignOpts, o *obs.Observer, journal *core.DiskStore, what string, out []sim.Metrics, perr []*sim.PointError) {
 	ranges := partition(pending, c.cfg.Shards)
 	o.Counter("shard.ranges").Add(int64(len(ranges)))
 	// The queue is the reassignment mechanism: a failed range is re-
@@ -304,7 +294,7 @@ func (c *Coordinator) dispatch(ctx context.Context, points []sim.Scenario, hashe
 // commits each point as it lands. It reports whether the attempt resolved
 // at least one point and the transport's error, folding a heartbeat stall
 // into ErrStalled.
-func (c *Coordinator) attempt(ctx context.Context, t *task, points []sim.Scenario, hashes []string, opts sim.CampaignOpts, o *obs.Observer, journal *Journal, what string, out []sim.Metrics, perr []*sim.PointError) (bool, error) {
+func (c *Coordinator) attempt(ctx context.Context, t *task, points []sim.Scenario, hashes []string, opts sim.CampaignOpts, o *obs.Observer, journal *core.DiskStore, what string, out []sim.Metrics, perr []*sim.PointError) (bool, error) {
 	a := Assignment{
 		Shard:   t.shard,
 		Attempt: t.dispatch,
@@ -515,7 +505,7 @@ type attemptSink struct {
 
 	points  []sim.Scenario
 	hashes  []string
-	journal *Journal
+	journal *core.DiskStore
 	o       *obs.Observer
 	what    string
 	out     []sim.Metrics
@@ -584,7 +574,10 @@ func (s *attemptSink) Deliver(r PointResult) error {
 	} else {
 		s.out[r.Index] = r.Metrics
 		if s.journal != nil {
-			s.journal.Commit(r.Index, s.hashes[r.Index], s.points[r.Index].Seed, r.Metrics)
+			// Write failures are counted, not returned: they cost a resume
+			// one recomputation, never the running campaign.
+			k := core.Key{ScenarioHash: s.hashes[r.Index], Seed: s.points[r.Index].Seed}
+			s.journal.Put(k, core.Entry{Key: k, Metrics: r.Metrics})
 		}
 		s.o.Counter("shard.points.committed").Inc()
 	}

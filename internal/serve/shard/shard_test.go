@@ -179,12 +179,12 @@ func TestShardBreakdownSumsToCommitted(t *testing.T) {
 	defer cancel()
 	o1 := obs.New(obs.Config{Clock: obs.SystemClock()})
 	c1 := New(Config{
-		Shards:     2,
-		Parallel:   1,
-		Transport:  &cancelAfterTransport{inner: Local{}, after: interruptAfter, cancel: cancel},
-		JournalDir: dir,
-		Backoff:    time.Millisecond,
-		Obs:        o1,
+		Shards:      2,
+		Parallel:    1,
+		Transport:   &cancelAfterTransport{inner: Local{}, after: interruptAfter, cancel: cancel},
+		JournalRoot: dir,
+		Backoff:     time.Millisecond,
+		Obs:         o1,
 	})
 	if _, err := c1.Run(ctx, points, sim.CampaignOpts{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
@@ -192,7 +192,7 @@ func TestShardBreakdownSumsToCommitted(t *testing.T) {
 	checkBreakdown(t, "interrupted", o1)
 
 	o2 := obs.New(obs.Config{Clock: obs.SystemClock()})
-	c2 := New(Config{Shards: 2, Transport: Local{}, JournalDir: dir, Backoff: time.Millisecond, Obs: o2})
+	c2 := New(Config{Shards: 2, Transport: Local{}, JournalRoot: dir, Backoff: time.Millisecond, Obs: o2})
 	if _, err := c2.Run(context.Background(), points, sim.CampaignOpts{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -375,11 +375,11 @@ func TestShardedResumeAfterInterrupt(t *testing.T) {
 	defer cancel()
 	run1 := newIndexCountingRunner()
 	c1 := New(Config{
-		Shards:     2,
-		Parallel:   1, // sequential dispatch: the interrupt point is exact
-		Transport:  &cancelAfterTransport{inner: Local{Runner: run1}, after: interruptAfter, cancel: cancel},
-		JournalDir: dir,
-		Backoff:    time.Millisecond,
+		Shards:      2,
+		Parallel:    1, // sequential dispatch: the interrupt point is exact
+		Transport:   &cancelAfterTransport{inner: Local{Runner: run1}, after: interruptAfter, cancel: cancel},
+		JournalRoot: dir,
+		Backoff:     time.Millisecond,
 	})
 	_, err1 := c1.Run(ctx, points, sim.CampaignOpts{Workers: 2})
 	if !errors.Is(err1, context.Canceled) {
@@ -393,11 +393,11 @@ func TestShardedResumeAfterInterrupt(t *testing.T) {
 	o2 := obs.New(obs.Config{})
 	run2 := newIndexCountingRunner()
 	c2 := New(Config{
-		Shards:     2,
-		Transport:  Local{Runner: run2},
-		JournalDir: dir,
-		Backoff:    time.Millisecond,
-		Obs:        o2,
+		Shards:      2,
+		Transport:   Local{Runner: run2},
+		JournalRoot: dir,
+		Backoff:     time.Millisecond,
+		Obs:         o2,
 	})
 	got, err2 := c2.Run(context.Background(), points, sim.CampaignOpts{Workers: 2})
 	if err2 != nil {
@@ -426,7 +426,7 @@ func TestShardedResumeAfterInterrupt(t *testing.T) {
 
 	// Run 3: double resume — everything restored, nothing executed.
 	run3 := newIndexCountingRunner()
-	c3 := New(Config{Shards: 4, Transport: Local{Runner: run3}, JournalDir: dir})
+	c3 := New(Config{Shards: 4, Transport: Local{Runner: run3}, JournalRoot: dir})
 	again, err3 := c3.Run(context.Background(), points, sim.CampaignOpts{Workers: 2})
 	if err3 != nil {
 		t.Fatal(err3)

@@ -87,7 +87,7 @@ func TestSubprocessWorkerKillResume(t *testing.T) {
 	c := New(Config{
 		Shards:      2,
 		Transport:   testSubprocess(t, ExitAfterEnv+"=1"),
-		JournalDir:  dir,
+		JournalRoot: dir,
 		Backoff:     time.Millisecond,
 		MaxAttempts: 3,
 		Obs:         o,
@@ -104,9 +104,9 @@ func TestSubprocessWorkerKillResume(t *testing.T) {
 	// Resume: everything is journaled; no worker process runs at all
 	// (the transport would fail loudly if one did).
 	c2 := New(Config{
-		Shards:     2,
-		Transport:  mustNotRunTransport{t},
-		JournalDir: dir,
+		Shards:      2,
+		Transport:   mustNotRunTransport{t},
+		JournalRoot: dir,
 	})
 	again, err2 := c2.Run(context.Background(), points, sim.CampaignOpts{Workers: 2})
 	if err2 != nil {
