@@ -1,9 +1,10 @@
 // Command cbmad is the campaign service daemon: campaigns become requests,
-// not processes. It accepts scenario/sweep submissions over a JSON HTTP API,
-// coalesces compatible submissions into batched executions sharing one
-// worker budget, and serves results from a content-addressed cache — the
-// simulator's determinism contract (bit-identical Metrics for an identical
-// scenario+seed) is what makes cached results exact, not approximate.
+// not processes. It accepts scenario/sweep submissions over a JSON HTTP API
+// and resolves each one as it arrives: cached points are served at once
+// from a content-addressed cache, and the rest run one job at a time with
+// the whole worker budget. The simulator's determinism contract
+// (bit-identical Metrics for an identical scenario+seed) is what makes
+// cached results exact, not approximate.
 //
 //	cbmad -addr :8337 -cache-dir /var/cache/cbma
 //
@@ -12,10 +13,10 @@
 //	POST   /v1/campaigns               submit points (JSON scenarios)
 //	GET    /v1/campaigns               list known jobs
 //	GET    /v1/campaigns/{id}          status + per-point results
-//	DELETE /v1/campaigns/{id}          cancel a job
+//	DELETE /v1/campaigns/{id}          cancel a job (409 once it has finished)
 //	GET    /v1/campaigns/{id}/events   stream the job's JSONL events
 //	GET    /v1/campaigns/{id}/manifest run manifest (after completion)
-//	GET    /v1/stats                   registry snapshot (cache/batch counters)
+//	GET    /v1/stats                   registry snapshot (cache counters, slot wait)
 //	GET    /v1/healthz                 liveness
 //	GET    /debug/pprof/, /debug/vars  profiling and expvar
 package main
@@ -54,13 +55,10 @@ func run(argv []string) error {
 		cacheEntries = fs.Int("cache-entries", core.DefaultMemoryEntries, "in-memory cache capacity (entries)")
 		diskEntries  = fs.Int("cache-disk-entries", 0, "disk cache capacity in entries (0: unbounded; LRU eviction)")
 		diskBytes    = fs.Int64("cache-disk-bytes", 0, "disk cache capacity in bytes (0: unbounded; LRU eviction)")
-		maxBatch     = fs.Int("max-batch", 64, "flush a batch at this many points")
-		maxWait      = fs.Duration("max-wait", 150*time.Millisecond, "flush a non-full batch after this long")
-		workers      = fs.Int("workers", 0, "engine worker budget per executing batch (0: GOMAXPROCS)")
-		parallel     = fs.Int("parallel", 1, "concurrently executing batches")
-		drainWait    = fs.Duration("drain-wait", 30*time.Second, "shutdown budget for in-flight batches")
-		shards       = fs.Int("shards", 0, "execute each batch sharded across this many worker processes (0: in-process)")
-		journalDir   = fs.String("journal-dir", "", "shard journal directory: committed points are stored by content and reused by every later batch (with -shards; enables crash-tolerant resume)")
+		workers      = fs.Int("workers", 0, "engine worker budget of the executing job (0: GOMAXPROCS)")
+		drainWait    = fs.Duration("drain-wait", 30*time.Second, "shutdown budget for in-flight jobs")
+		shards       = fs.Int("shards", 0, "execute each job sharded across this many worker processes (0: in-process)")
+		journalDir   = fs.String("journal-dir", "", "shard journal directory: committed points are stored by content and reused by every later job (with -shards; enables crash-tolerant resume)")
 		shardWorker  = fs.Bool("shard-worker", false, "internal: serve one shard assignment on stdin/stdout and exit (spawned by the coordinator)")
 	)
 	if err := fs.Parse(argv); err != nil {
@@ -92,10 +90,10 @@ func run(argv []string) error {
 	}
 	var runner core.Runner = core.CampaignRunner{}
 	if *shards > 0 {
-		// Sharded execution: each batch runs as a journaled campaign across
+		// Sharded execution: each job runs as a journaled campaign across
 		// worker processes (this binary, re-exec'd with -shard-worker), so
 		// after a daemon restart a resubmitted job restores its committed
-		// points instead of recomputing them, however it is re-batched.
+		// points instead of recomputing them.
 		sub, err := shard.NewSubprocess(shard.SubprocessConfig{})
 		if err != nil {
 			return err
@@ -108,14 +106,7 @@ func run(argv []string) error {
 		})
 	}
 	svc := &core.Service{Runner: runner, Store: store, Obs: o}
-	b := batch.New(batch.Config{
-		Service:  svc,
-		MaxBatch: *maxBatch,
-		MaxWait:  *maxWait,
-		Workers:  *workers,
-		Parallel: *parallel,
-		Obs:      o,
-	})
+	b := batch.New(batch.Config{Service: svc, Workers: *workers, Obs: o})
 
 	baseCtx, cancelJobs := context.WithCancel(context.Background())
 	defer cancelJobs()
@@ -126,8 +117,8 @@ func run(argv []string) error {
 	if err != nil {
 		return err
 	}
-	log.Printf("cbmad %s listening on %s (cache-dir=%q mem-entries=%d max-batch=%d max-wait=%s workers=%d parallel=%d shards=%d journal-dir=%q)",
-		obs.Version(), ln.Addr(), *cacheDir, *cacheEntries, *maxBatch, *maxWait, *workers, *parallel, *shards, *journalDir)
+	log.Printf("cbmad %s listening on %s (cache-dir=%q mem-entries=%d workers=%d shards=%d journal-dir=%q; jobs run on arrival, one executing at a time)",
+		obs.Version(), ln.Addr(), *cacheDir, *cacheEntries, *workers, *shards, *journalDir)
 
 	errc := make(chan error, 1)
 	//cbma:fireforget serve loop exits via httpSrv.Shutdown below; errc is buffered so the send never strands it
@@ -142,7 +133,7 @@ func run(argv []string) error {
 		return err
 	}
 
-	// Orderly shutdown: stop intake, drain in-flight batches, then close
+	// Orderly shutdown: stop intake, drain in-flight jobs, then close
 	// the listener. Jobs past the drain budget finish with Interrupted
 	// partials (the same semantics as SIGINT on cbmasim).
 	shutCtx, cancel := context.WithTimeout(context.Background(), *drainWait)

@@ -23,8 +23,6 @@ import (
 type submitRequest struct {
 	// What labels the campaign in errors, events and manifests.
 	What string `json:"what"`
-	// Class selects the batching compatibility class (see batch.Request).
-	Class string `json:"class,omitempty"`
 	// Points are the campaign points to run.
 	Points []sim.Scenario `json:"points"`
 	// Scenario is a single-point convenience alternative to Points.
@@ -35,11 +33,9 @@ type submitRequest struct {
 type jobInfo struct {
 	ID      string             `json:"id"`
 	What    string             `json:"what,omitempty"`
-	Class   string             `json:"class,omitempty"`
 	Points  int                `json:"points"`
 	Status  string             `json:"status"` // pending | done | failed | canceled
 	TraceID string             `json:"trace_id,omitempty"`
-	Batch   int                `json:"batch,omitempty"`
 	Error   string             `json:"error,omitempty"`
 	Results []core.PointResult `json:"results,omitempty"`
 }
@@ -50,7 +46,6 @@ type jobInfo struct {
 type jobState struct {
 	job    *batch.Job
 	what   string
-	class  string
 	points int
 	cancel context.CancelFunc
 	bcast  *obs.Broadcaster
@@ -65,7 +60,7 @@ type jobState struct {
 // server is the cbmad HTTP layer over the batch and core layers.
 type server struct {
 	batcher *batch.Batcher
-	o       *obs.Observer // process-wide registry (cache/batch counters)
+	o       *obs.Observer // process-wide registry (cache counters, slot wait)
 	// baseCtx bounds every job's lifetime to the daemon's; it is the one
 	// place the request tree roots, set once at startup.
 	baseCtx   context.Context //cbma:allow ctxflow daemon-lifetime root, audited seam
@@ -82,7 +77,11 @@ type server struct {
 
 const (
 	defaultMaxPoints = 4096
-	defaultRetain    = 1024
+	// maxTags bounds a submitted point's NumTags. Validation places one
+	// position per tag, so an absurd count would exhaust memory before the
+	// point could be refused; real deployments have tens of tags.
+	maxTags       = 1024
+	defaultRetain = 1024
 	// defaultMaxBody bounds the submit body. Scenarios are a few hundred
 	// bytes each, so 8 MiB clears the defaultMaxPoints worst case with
 	// headroom while keeping a hostile (or runaway) client from buffering
@@ -177,6 +176,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// later — and pin each point's content hash while we are at it.
 	hashes := make([]string, len(points))
 	for i := range points {
+		if points[i].NumTags > maxTags {
+			writeError(w, http.StatusBadRequest, "point %d: %d tags, limit %d", i, points[i].NumTags, maxTags)
+			return
+		}
 		h, err := points[i].Hash()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "point %d: %v", i, err)
@@ -199,7 +202,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	job, err := s.batcher.Submit(ctx, batch.Request{What: req.What, Class: req.Class, Points: points})
+	job, err := s.batcher.Submit(ctx, batch.Request{What: req.What, Points: points})
 	if err != nil {
 		cancel()
 		_ = sink.Close()
@@ -213,7 +216,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st := &jobState{
 		job:    job,
 		what:   req.What,
-		class:  req.Class,
 		points: len(points),
 		cancel: cancel,
 		bcast:  bcast,
@@ -224,7 +226,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Bracket the per-job stream with lifecycle markers; the engine's own
 	// round/fault events land between them.
 	jobObs.Emit("job_accepted", map[string]any{
-		"job": job.ID(), "what": req.What, "class": req.Class, "points": len(points),
+		"job": job.ID(), "what": req.What, "points": len(points),
 	})
 	s.wg.Add(1)
 	go s.finishJob(st, points[0].Seed, hashes)
@@ -238,7 +240,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *server) finishJob(st *jobState, seed int64, hashes []string) {
 	defer s.wg.Done()
 	results, jerr := st.job.Results()
-	doneFields := map[string]any{"job": st.job.ID(), "batch": st.job.Batch()}
+	doneFields := map[string]any{"job": st.job.ID()}
 	if jerr != nil {
 		doneFields["error"] = jerr.Error()
 	}
@@ -257,7 +259,7 @@ func (s *server) finishJob(st *jobState, seed int64, hashes []string) {
 	s.o.Counter("obs.replay.truncated_bytes").Add(man.Events.ReplayTruncated)
 	man.Seed = seed
 	man.Interrupted = errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded)
-	man.Config = map[string]any{"what": st.what, "class": st.class, "points": hashes}
+	man.Config = map[string]any{"what": st.what, "points": hashes}
 	if len(hashes) == 1 {
 		man.ScenarioHash = hashes[0]
 	} else if h, err := obs.HashJSON(hashes); err == nil {
@@ -321,7 +323,6 @@ func (s *server) info(st *jobState) jobInfo {
 	inf := jobInfo{
 		ID:      st.job.ID(),
 		What:    st.what,
-		Class:   st.class,
 		Points:  st.points,
 		Status:  "pending",
 		TraceID: st.jobObs.TraceID(),
@@ -330,7 +331,6 @@ func (s *server) info(st *jobState) jobInfo {
 	case <-st.job.Done():
 		results, err := st.job.Results()
 		inf.Results = results
-		inf.Batch = st.job.Batch()
 		switch {
 		case err == nil:
 			inf.Status = "done"
@@ -375,6 +375,12 @@ func (s *server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if st == nil {
 		writeError(w, http.StatusNotFound, "unknown campaign %q", r.PathValue("id"))
 		return
+	}
+	select {
+	case <-st.job.Done():
+		writeError(w, http.StatusConflict, "campaign %q has already finished: %s", st.job.ID(), s.info(st).Status)
+		return
+	default:
 	}
 	st.cancel()
 	writeJSON(w, http.StatusAccepted, map[string]string{"id": st.job.ID(), "status": "canceling"})
@@ -436,7 +442,8 @@ func (s *server) handleManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves the process-wide registry snapshot — cache hit/miss
-// counters, batch flush counters, campaign timings.
+// counters, the execution-slot wait histogram (serve.exec_wait_ns),
+// campaign timings.
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.o.Registry().Snapshot())
 }

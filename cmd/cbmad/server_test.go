@@ -43,14 +43,17 @@ type testDaemon struct {
 
 func startDaemon(t *testing.T) *testDaemon {
 	t.Helper()
-	runner := &countingRunner{inner: core.CampaignRunner{}}
+	return startDaemonWith(t, core.CampaignRunner{})
+}
+
+// startDaemonWith starts a test daemon whose Service executes through
+// inner (wrapped in a point counter).
+func startDaemonWith(t testing.TB, inner core.Runner) *testDaemon {
+	t.Helper()
+	runner := &countingRunner{inner: inner}
 	o := obs.New(obs.Config{Clock: obs.SystemClock()})
 	svc := &core.Service{Runner: runner, Store: core.NewMemoryStore(0), Obs: o}
-	b := batch.New(batch.Config{
-		Service: svc,
-		MaxWait: 10 * time.Millisecond, // keep the e2e test snappy
-		Obs:     o,
-	})
+	b := batch.New(batch.Config{Service: svc, Obs: o})
 	ctx, cancel := context.WithCancel(context.Background())
 	srv := newServer(ctx, b, o)
 	ts := httptest.NewServer(srv.handler())
@@ -195,21 +198,6 @@ func TestDaemonServesBitIdenticalAndCaches(t *testing.T) {
 	}
 }
 
-// Submissions in the same class arriving within the max-wait window share
-// one batch (and therefore one campaign run).
-func TestDaemonCoalescesSubmissions(t *testing.T) {
-	d := startDaemon(t)
-	a := d.submit(t, scenarioJSON(t, quickScenario(21)))
-	b := d.submit(t, scenarioJSON(t, quickScenario(22)))
-	ai, bi := d.wait(t, a.ID), d.wait(t, b.ID)
-	if ai.Status != "done" || bi.Status != "done" {
-		t.Fatalf("statuses = %q, %q", ai.Status, bi.Status)
-	}
-	if ai.Batch != bi.Batch {
-		t.Errorf("jobs ran in batches %d and %d, want coalesced into one", ai.Batch, bi.Batch)
-	}
-}
-
 // The events endpoint replays the job's JSONL stream after completion and
 // the manifest endpoint serves the assembled run manifest.
 func TestDaemonEventsAndManifest(t *testing.T) {
@@ -282,6 +270,11 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 		{"invalid scenario", scenarioJSON(t, func() sim.Scenario {
 			s := quickScenario(1)
 			s.NumTags = -1 // fails scenario validation inside Hash()
+			return s
+		}()), http.StatusBadRequest},
+		{"too many tags", scenarioJSON(t, func() sim.Scenario {
+			s := quickScenario(1)
+			s.NumTags = 1 << 30 // validation would place a position per tag
 			return s
 		}()), http.StatusBadRequest},
 	}
@@ -398,5 +391,108 @@ func TestDaemonListAndHealth(t *testing.T) {
 	var snap obs.Snapshot
 	if err := json.NewDecoder(sresp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// cancelJob sends DELETE /v1/campaigns/{id} and returns the status code
+// and decoded JSON body.
+func (d *testDaemon) cancelJob(t *testing.T, id string) (int, map[string]string) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, d.ts.URL+"/v1/campaigns/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// Cancelling a job that has already finished cancels nothing, so the
+// daemon answers 409 naming the job's final status, not 202 "canceling".
+func TestDaemonCancelFinishedJobConflicts(t *testing.T) {
+	d := startDaemon(t)
+	inf := d.wait(t, d.submit(t, scenarioJSON(t, quickScenario(61))).ID)
+	if inf.Status != "done" {
+		t.Fatalf("status = %q (%s)", inf.Status, inf.Error)
+	}
+	code, body := d.cancelJob(t, inf.ID)
+	if code != http.StatusConflict {
+		t.Fatalf("DELETE on a finished job: status = %d (%v), want 409", code, body)
+	}
+	if !strings.Contains(body["error"], "done") {
+		t.Errorf("409 error %q does not name the final status %q", body["error"], "done")
+	}
+	if again := d.wait(t, inf.ID); again.Status != "done" {
+		t.Errorf("status after DELETE = %q, want done", again.Status)
+	}
+}
+
+// blockOnceRunner holds its first call until that call's context ends and
+// then lets the engine see the cancellation (Interrupted partials); later
+// calls run the engine normally.
+type blockOnceRunner struct {
+	entered chan struct{}
+	first   atomic.Bool
+}
+
+func (r *blockOnceRunner) Run(ctx context.Context, points []sim.Scenario, opts sim.CampaignOpts) ([]sim.Metrics, error) {
+	if r.first.CompareAndSwap(false, true) {
+		close(r.entered)
+		<-ctx.Done()
+	}
+	return core.CampaignRunner{}.Run(ctx, points, opts)
+}
+
+// DELETE on a running job interrupts that job's own run: it ends
+// "canceled", nothing is cached, and a resubmission recomputes the point
+// bit-identically to a direct run.
+func TestDaemonCancelRunningJob(t *testing.T) {
+	runner := &blockOnceRunner{entered: make(chan struct{})}
+	d := startDaemonWith(t, runner)
+	point := quickScenario(62)
+
+	job := d.submit(t, scenarioJSON(t, point))
+	<-runner.entered
+	if code, body := d.cancelJob(t, job.ID); code != http.StatusAccepted || body["status"] != "canceling" {
+		t.Fatalf("DELETE on a running job = %d %v, want 202 canceling", code, body)
+	}
+	if inf := d.wait(t, job.ID); inf.Status != "canceled" {
+		t.Fatalf("cancelled job status = %q (%s), want canceled", inf.Status, inf.Error)
+	}
+	if got := d.o.Counter("serve.cache.skipped").Value(); got != 1 {
+		t.Errorf("serve.cache.skipped = %d, want 1", got)
+	}
+
+	again := d.wait(t, d.submit(t, scenarioJSON(t, point)).ID)
+	if again.Status != "done" || len(again.Results) != 1 {
+		t.Fatalf("resubmission = %q (%s), %d results", again.Status, again.Error, len(again.Results))
+	}
+	if again.Results[0].Cached {
+		t.Error("resubmission was served from cache: the cancelled run was cached")
+	}
+	direct, err := sim.RunCampaign([]sim.Scenario{point}, sim.CampaignOpts{What: "direct"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	directJSON, err := json.Marshal(direct[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	servedJSON, err := json.Marshal(again.Results[0].Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(directJSON, servedJSON) {
+		t.Errorf("recomputed metrics differ from a direct run\ndirect: %s\nserved: %s", directJSON, servedJSON)
+	}
+	if got := d.runner.points.Load(); got != 2 {
+		t.Errorf("runner executed %d points, want 2 (cancelled run, then the recompute)", got)
 	}
 }

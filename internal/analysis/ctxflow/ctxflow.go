@@ -16,8 +16,8 @@
 //     the floor and is reported.
 //  3. No context.Context stored in a struct field (contexts are call-scoped
 //     by contract; a stored one outlives its request unnoticed). The
-//     audited seams — batch.Job's queued-submission context, the daemon's
-//     base context — carry waivers.
+//     audited seams — the batcher's and the daemon's lifetime contexts —
+//     carry waivers.
 package ctxflow
 
 import (

@@ -1,15 +1,13 @@
-// Package batch turns individual campaign submissions into batched
-// executions: compatible sweep-point submissions are coalesced into one
-// campaign run sharing a worker budget, flushed when the batch fills
-// (size) or ages out (max-wait timer), with cooperative cancellation per
-// job and a graceful drain on shutdown.
+// Package batch is the daemon's job front-end: it gives each submission an
+// ID, resolves it through core.Service as soon as it arrives, lets each job
+// be cancelled on its own, and drains in-flight jobs on shutdown.
 //
-// Batching is what makes "campaigns as requests" scale: N clients each
-// submitting a handful of sweep points become one RunCampaignContext call
-// whose points share the engine's worker pool, instead of N processes
-// fighting over cores. Results are unaffected by batching — each point's
-// metrics depend only on its own scenario (per-point DeriveSeed streams),
-// which is also what lets the core layer cache them.
+// Jobs are not coalesced. A job whose points are all cached returns
+// without waiting for anything; the rest wait for core.Service's execution
+// slot, which gives one campaign at a time the whole worker budget.
+// Scheduling cannot affect results: each point's metrics depend only on
+// its own scenario (per-point DeriveSeed streams), which is also what lets
+// the core layer cache them.
 package batch
 
 import (
@@ -17,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"cbma/internal/obs"
 	"cbma/internal/serve/core"
@@ -33,27 +30,14 @@ var (
 
 // Config parameterizes New.
 type Config struct {
-	// Service executes flushed batches (cache probe + campaign run).
-	// Required.
+	// Service resolves each job (cache probe, execution slot, campaign
+	// run). Required.
 	Service *core.Service
-	// MaxBatch flushes a class's pending queue when it reaches this many
-	// points. Zero selects 64.
-	MaxBatch int
-	// MaxWait flushes a non-empty pending queue this long after its first
-	// point arrived, bounding the latency a lone submission pays for
-	// batching. Zero selects 150 ms.
-	MaxWait time.Duration
-	// Workers is the engine worker budget each executing batch spreads
-	// over its points (sim.CampaignOpts.Workers). Zero selects GOMAXPROCS.
+	// Workers is the engine worker budget an executing job spreads over
+	// its points (sim.CampaignOpts.Workers). Zero selects GOMAXPROCS.
 	Workers int
-	// Parallel bounds concurrently executing batches. Zero selects 1: one
-	// batch owns the worker budget at a time, which keeps throughput work-
-	// conserving instead of oversubscribing cores across batches.
-	Parallel int
-	// Obs, when non-nil, receives batch telemetry: flush counters by
-	// trigger (serve.batch.flush.size/timer/drain), per-batch point-count
-	// histogram (serve.batch.points), queue gauge (serve.batch.pending)
-	// and job/batch lifecycle events.
+	// Obs, when non-nil, receives job lifecycle events (job_submitted,
+	// job_done) and is the observer each job's campaign runs under.
 	Obs *obs.Observer
 }
 
@@ -62,109 +46,57 @@ type Config struct {
 type Request struct {
 	// What labels the submission in errors and telemetry.
 	What string
-	// Class is the compatibility class. Only submissions of the same class
-	// coalesce into a batch; classes partition the queue so callers can
-	// keep incompatible work (different priorities, different downstream
-	// handling) from sharing a flush. The empty class is a class.
-	Class string
 	// Points are the campaign points to run.
 	Points []sim.Scenario
 }
 
-// Job is an accepted submission making its way through the batcher.
+// Job is an accepted submission.
 type Job struct {
-	id    string
-	what  string
-	class string
-	// ctx travels with the queued submission so a job cancelled while
-	// still pending never executes; it is consumed once by runBatch.
-	ctx    context.Context //cbma:allow ctxflow queued-submission seam, audited
-	points []sim.Scenario
-
+	id      string
 	done    chan struct{}
 	results []core.PointResult
 	err     error
-	batch   int // sequence number of the executing batch
 }
 
 // ID returns the batcher-assigned job identifier.
 func (j *Job) ID() string { return j.id }
 
-// Done is closed when the job's results are ready (or its context was
-// cancelled before execution).
+// Done is closed when the job's results are ready.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // Results blocks until the job completes and returns its per-point
-// results. The error mirrors core.Service.Run, re-indexed to the job's own
-// points; a job cancelled before execution returns its context's error.
+// results and error, exactly as core.Service.Run reported them; a job
+// cancelled before its points ran returns its context's error.
 func (j *Job) Results() ([]core.PointResult, error) {
 	<-j.done
 	return j.results, j.err
 }
 
-// Batch reports the sequence number of the batch that executed the job
-// (zero until done) — observability for tests and the daemon's status API.
-func (j *Job) Batch() int {
-	select {
-	case <-j.done:
-		return j.batch
-	default:
-		return 0
-	}
-}
-
-// pending is one class's accumulating batch.
-type pending struct {
-	jobs   []*Job
-	points int
-	timer  *time.Timer
-}
-
-// Batcher coalesces submissions and executes them through a core.Service.
+// Batcher runs each submission through a core.Service as it arrives.
 type Batcher struct {
 	cfg Config
-	// base bounds every batch execution to the batcher's lifetime; Close
-	// cancels it to cut off in-flight campaigns at the drain deadline.
+	// base bounds every job to the batcher's lifetime; Close cancels it to
+	// cut off in-flight campaigns at the drain deadline.
 	base context.Context //cbma:allow ctxflow batcher-lifetime root, audited seam
 	stop context.CancelFunc
 
 	mu      sync.Mutex
-	classes map[string]*pending
 	nextJob int
-	nextBat int
 	closed  bool
-
-	sem chan struct{} // bounds concurrently executing batches
-	wg  sync.WaitGroup
+	wg      sync.WaitGroup
 }
 
 // New starts a batcher. Close must be called to drain it.
 func New(cfg Config) *Batcher {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.MaxWait <= 0 {
-		cfg.MaxWait = 150 * time.Millisecond
-	}
-	if cfg.Parallel <= 0 {
-		cfg.Parallel = 1
-	}
 	//cbma:allow ctxflow batcher-lifetime root: New has no caller ctx by design, Close bounds the drain
 	base, stop := context.WithCancel(context.Background())
-	return &Batcher{
-		cfg:     cfg,
-		base:    base,
-		stop:    stop,
-		classes: make(map[string]*pending),
-		sem:     make(chan struct{}, cfg.Parallel),
-	}
+	return &Batcher{cfg: cfg, base: base, stop: stop}
 }
 
-// Submit enqueues a request. The returned Job completes asynchronously;
-// ctx cancels the job (a job cancelled while still queued never executes;
-// one already executing runs to completion and reports the cancellation).
-// Submission never blocks on execution — backpressure is the semaphore
-// inside the executors, not the intake.
+// Submit accepts a request and starts resolving it at once. The returned
+// Job completes asynchronously; cancelling ctx cancels the job (one still
+// waiting for the execution slot never runs; a running one is interrupted
+// and returns Interrupted partials, which are never cached).
 func (b *Batcher) Submit(ctx context.Context, req Request) (*Job, error) {
 	if len(req.Points) == 0 {
 		return nil, ErrNoPoints
@@ -178,155 +110,40 @@ func (b *Batcher) Submit(ctx context.Context, req Request) (*Job, error) {
 		return nil, ErrClosed
 	}
 	b.nextJob++
-	j := &Job{
-		id:     fmt.Sprintf("job-%d", b.nextJob),
-		what:   req.What,
-		class:  req.Class,
-		ctx:    ctx,
-		points: req.Points,
-		done:   make(chan struct{}),
-	}
-	p := b.classes[req.Class]
-	if p == nil {
-		p = &pending{}
-		b.classes[req.Class] = p
-	}
-	wasEmpty := len(p.jobs) == 0
-	p.jobs = append(p.jobs, j)
-	p.points += len(j.points)
-	b.cfg.Obs.Gauge("serve.batch.pending").Add(int64(len(j.points)))
-	full := p.points >= b.cfg.MaxBatch
-	if full {
-		b.flushLocked(req.Class, "size")
-	} else if wasEmpty {
-		class := req.Class
-		p.timer = time.AfterFunc(b.cfg.MaxWait, func() { b.timerFlush(class, p) })
-	}
+	j := &Job{id: fmt.Sprintf("job-%d", b.nextJob), done: make(chan struct{})}
+	b.wg.Add(1)
 	b.mu.Unlock()
 	if b.cfg.Obs.EmitsEvents() {
-		b.cfg.Obs.Emit("job_submitted", map[string]any{
-			"job": j.id, "class": j.class, "points": len(j.points),
-		})
+		b.cfg.Obs.Emit("job_submitted", map[string]any{"job": j.id, "points": len(req.Points)})
 	}
+	go b.run(ctx, j, req)
 	return j, nil
 }
 
-// timerFlush is the max-wait timer callback for one pending generation.
-// The identity check against the armed *pending is what makes a stale
-// timer harmless: Stop is advisory (the callback may already be running
-// when flushLocked calls it), and without the comparison a timer armed for
-// an already-flushed batch would prematurely flush the NEXT batch of the
-// same class, silently halving its coalescing window.
-func (b *Batcher) timerFlush(class string, p *pending) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur := b.classes[class]; cur == p && len(cur.jobs) > 0 {
-		b.flushLocked(class, "timer")
-	}
-}
-
-// flushLocked detaches the class's pending batch and hands it to an
-// executor goroutine. Caller holds b.mu.
-func (b *Batcher) flushLocked(class, why string) {
-	p := b.classes[class]
-	if p == nil || len(p.jobs) == 0 {
-		return
-	}
-	if p.timer != nil {
-		p.timer.Stop()
-	}
-	jobs, points := p.jobs, p.points
-	delete(b.classes, class)
-	b.nextBat++
-	seq := b.nextBat
-	b.cfg.Obs.Counter("serve.batch.flush." + why).Inc()
-	b.cfg.Obs.Gauge("serve.batch.pending").Add(int64(-points))
-	b.cfg.Obs.Histogram("serve.batch.points").Observe(int64(points))
-	if b.cfg.Obs.EmitsEvents() {
-		b.cfg.Obs.Emit("batch_flush", map[string]any{
-			"batch": seq, "class": class, "why": why,
-			"jobs": len(jobs), "points": points,
-		})
-	}
-	b.wg.Add(1)
-	go b.runBatch(seq, class, jobs)
-}
-
-// runBatch executes one flushed batch: cancelled jobs are completed
-// without running, the rest run as a single campaign sharing the worker
-// budget, and results are split back per job.
-func (b *Batcher) runBatch(seq int, class string, jobs []*Job) {
+// run resolves one job under a context that ends with either the job's
+// own ctx or the batcher's lifetime.
+func (b *Batcher) run(ctx context.Context, j *Job, req Request) {
 	defer b.wg.Done()
-	b.sem <- struct{}{}
-	defer func() { <-b.sem }()
-
-	live := jobs[:0:0]
-	var points []sim.Scenario
-	for _, j := range jobs {
-		if err := j.ctx.Err(); err != nil {
-			j.finish(seq, nil, err, b.cfg.Obs)
-			continue
-		}
-		live = append(live, j)
-		points = append(points, j.points...)
-	}
-	if len(live) == 0 {
-		return
-	}
-	what := class
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(b.base, cancel)()
+	what := req.What
 	if what == "" {
-		what = fmt.Sprintf("batch %d", seq)
+		what = j.id
 	}
-	results, err := b.cfg.Service.Run(b.base, points, sim.CampaignOpts{
+	j.results, j.err = b.cfg.Service.Run(ctx, req.Points, sim.CampaignOpts{
 		Workers: b.cfg.Workers,
 		What:    what,
 		Obs:     b.cfg.Obs,
 	})
-	off := 0
-	for _, j := range live {
-		part := results[off : off+len(j.points)]
-		off += len(j.points)
-		j.finish(seq, part, jobError(j, part, err), b.cfg.Obs)
-	}
-}
-
-// jobError derives one job's error from its slice of the batch results
-// and the batch-wide error: per-point failures become a job-local
-// *sim.CampaignError; a batch-wide cancellation (or the job's own) passes
-// through when the job had no point failures of its own.
-func jobError(j *Job, part []core.PointResult, batchErr error) error {
-	var pes []*sim.PointError
-	for i, r := range part {
-		if r.Err != "" {
-			pes = append(pes, &sim.PointError{What: j.what, Point: i, Err: errors.New(r.Err)})
-		}
-	}
-	if len(pes) > 0 {
-		return &sim.CampaignError{Points: pes}
-	}
-	var cerr *sim.CampaignError
-	if errors.As(batchErr, &cerr) {
-		return nil // other jobs' failures are not this job's
-	}
-	if batchErr != nil {
-		return batchErr
-	}
-	return j.ctx.Err()
-}
-
-// finish publishes a job's outcome exactly once.
-func (j *Job) finish(seq int, results []core.PointResult, err error, o *obs.Observer) {
-	j.batch = seq
-	j.results = results
-	j.err = err
 	close(j.done)
-	if o.EmitsEvents() {
-		f := map[string]any{"job": j.id, "batch": seq}
-		if err != nil {
-			f["error"] = err.Error()
+	if o := b.cfg.Obs; o.EmitsEvents() {
+		f := map[string]any{"job": j.id}
+		if j.err != nil {
+			f["error"] = j.err.Error()
 		}
 		cached := 0
-		for _, r := range results {
+		for _, r := range j.results {
 			if r.Cached {
 				cached++
 			}
@@ -336,20 +153,14 @@ func (j *Job) finish(seq int, results []core.PointResult, err error, o *obs.Obse
 	}
 }
 
-// Close drains the batcher: no new submissions are accepted, every pending
-// batch flushes immediately, and Close waits — up to ctx — for in-flight
-// batches to finish. Jobs still queued behind the semaphore execute during
-// the drain; only the deadline cuts them off (they then complete with the
-// batcher's cancelled context, surfacing partial metrics the way SIGINT
-// does for the CLI).
+// Close drains the batcher: no new submissions are accepted, and Close
+// waits — up to ctx — for in-flight jobs to finish. Jobs still waiting for
+// the execution slot run during the drain; only the deadline cuts them off
+// (they then complete with the batcher's cancelled context, surfacing
+// partial metrics the way SIGINT does for the CLI).
 func (b *Batcher) Close(ctx context.Context) error {
 	b.mu.Lock()
-	if !b.closed {
-		b.closed = true
-		for class := range b.classes {
-			b.flushLocked(class, "drain")
-		}
-	}
+	b.closed = true
 	b.mu.Unlock()
 
 	done := make(chan struct{})

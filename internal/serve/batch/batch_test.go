@@ -3,6 +3,7 @@ package batch
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,16 +15,21 @@ import (
 	"cbma/internal/sim"
 )
 
-// fakeRunner returns canned per-point metrics instantly, recording each
-// call's point count so tests can assert coalescing.
+// fakeRunner returns canned per-point metrics, recording each call's
+// seeds so tests can count executions. With block set, each call first
+// signals entered (when set) and then waits for block or cancellation.
 type fakeRunner struct {
-	mu     sync.Mutex
-	calls  [][]int // per call: seeds of the executed points
-	block  chan struct{}
-	failAt map[int64]bool // seeds that fail
+	mu      sync.Mutex
+	calls   [][]int // per call: seeds of the executed points
+	block   chan struct{}
+	entered chan struct{}
+	failAt  map[int64]bool // seeds that fail
 }
 
 func (f *fakeRunner) Run(ctx context.Context, points []sim.Scenario, opts sim.CampaignOpts) ([]sim.Metrics, error) {
+	if f.entered != nil {
+		f.entered <- struct{}{}
+	}
 	if f.block != nil {
 		select {
 		case <-f.block:
@@ -83,100 +89,12 @@ func newBatcher(t *testing.T, runner core.Runner, cfg Config) *Batcher {
 	return b
 }
 
-// Submissions below MaxBatch ride the max-wait timer into one shared
-// batch: one Runner call, results split back per job.
-func TestBatcherCoalescesByTimer(t *testing.T) {
-	runner := &fakeRunner{}
-	b := newBatcher(t, runner, Config{MaxBatch: 100, MaxWait: 30 * time.Millisecond})
-
-	j1, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1), point(2)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(3)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err1 := j1.Results()
-	r2, err2 := j2.Results()
-	if err1 != nil || err2 != nil {
-		t.Fatalf("job errors: %v, %v", err1, err2)
-	}
-	if len(r1) != 2 || len(r2) != 1 {
-		t.Fatalf("result sizes %d, %d; want 2, 1", len(r1), len(r2))
-	}
-	if r1[0].Metrics.FramesSent != 1 || r1[1].Metrics.FramesSent != 2 || r2[0].Metrics.FramesSent != 3 {
-		t.Errorf("results misrouted: %+v / %+v", r1, r2)
-	}
-	if got := runner.callCount(); got != 1 {
-		t.Errorf("runner ran %d times, want 1 (coalesced batch)", got)
-	}
-	if j1.Batch() != j2.Batch() || j1.Batch() == 0 {
-		t.Errorf("jobs ran in batches %d and %d, want the same non-zero batch", j1.Batch(), j2.Batch())
-	}
-}
-
-// Reaching MaxBatch flushes immediately, without waiting for the timer.
-func TestBatcherFlushesOnSize(t *testing.T) {
-	runner := &fakeRunner{}
-	o := obs.New(obs.Config{})
-	b := newBatcher(t, runner, Config{
-		Service:  &core.Service{Runner: runner, Obs: o},
-		MaxBatch: 3,
-		MaxWait:  time.Hour, // the timer must not be what flushes
-		Obs:      o,
-	})
-	var jobs []*Job
-	for seed := int64(1); seed <= 3; seed++ {
-		j, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(seed)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs = append(jobs, j)
-	}
-	for _, j := range jobs {
-		if _, err := j.Results(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := runner.callCount(); got != 1 {
-		t.Errorf("runner ran %d times, want 1", got)
-	}
-	snap := o.Registry().Snapshot()
-	if got := counterValue(snap, "serve.batch.flush.size"); got != 1 {
-		t.Errorf("size flushes = %d, want 1", got)
-	}
-	if got := counterValue(snap, "serve.batch.flush.timer"); got != 0 {
-		t.Errorf("timer flushes = %d, want 0", got)
-	}
-}
-
-// Different classes never share a batch.
-func TestBatcherClassesPartition(t *testing.T) {
-	runner := &fakeRunner{}
-	b := newBatcher(t, runner, Config{MaxWait: 20 * time.Millisecond})
-	ja, _ := b.Submit(context.Background(), Request{Class: "a", Points: []sim.Scenario{point(1)}})
-	jb, _ := b.Submit(context.Background(), Request{Class: "b", Points: []sim.Scenario{point(2)}})
-	if _, err := ja.Results(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := jb.Results(); err != nil {
-		t.Fatal(err)
-	}
-	if got := runner.callCount(); got != 2 {
-		t.Errorf("runner ran %d times, want 2 (one per class)", got)
-	}
-	if ja.Batch() == jb.Batch() {
-		t.Errorf("different classes shared batch %d", ja.Batch())
-	}
-}
-
-// One job's failing point must not contaminate its batch-mates: the
+// One job's failing point must not contaminate another job: the
 // healthy job completes clean, the failing one gets a job-local
 // CampaignError with job-local indices.
 func TestBatcherIsolatesJobFailures(t *testing.T) {
 	runner := &fakeRunner{failAt: map[int64]bool{30: true}}
-	b := newBatcher(t, runner, Config{MaxBatch: 100, MaxWait: 20 * time.Millisecond})
+	b := newBatcher(t, runner, Config{})
 
 	healthy, _ := b.Submit(context.Background(), Request{What: "healthy", Points: []sim.Scenario{point(1), point(2)}})
 	failing, _ := b.Submit(context.Background(), Request{What: "failing", Points: []sim.Scenario{point(20), point(30)}})
@@ -197,13 +115,14 @@ func TestBatcherIsolatesJobFailures(t *testing.T) {
 	}
 }
 
-// A job cancelled while queued never executes; its batch-mates do.
+// A job cancelled while it waits for the execution slot never executes;
+// the job holding the slot completes.
 func TestBatcherCancelledJobSkipped(t *testing.T) {
 	release := make(chan struct{})
 	runner := &fakeRunner{block: release}
-	b := newBatcher(t, runner, Config{MaxBatch: 1, MaxWait: time.Hour, Parallel: 1})
+	b := newBatcher(t, runner, Config{})
 
-	// Occupy the single executor slot so the next batch stays queued.
+	// Occupy the execution slot so the next job has to wait for it.
 	blocker, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
 	if err != nil {
 		t.Fatal(err)
@@ -233,16 +152,13 @@ func TestBatcherCancelledJobSkipped(t *testing.T) {
 	}
 }
 
-// Close drains: pending work flushes and completes, then submissions are
-// refused.
+// Close drains: in-flight work completes, then submissions are refused.
 func TestBatcherCloseDrains(t *testing.T) {
 	runner := &fakeRunner{}
 	o := obs.New(obs.Config{})
 	b := New(Config{
-		Service:  &core.Service{Runner: runner, Obs: o},
-		MaxBatch: 100,
-		MaxWait:  time.Hour, // drain, not the timer, must flush
-		Obs:      o,
+		Service: &core.Service{Runner: runner, Obs: o},
+		Obs:     o,
 	})
 	j, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
 	if err != nil {
@@ -264,9 +180,6 @@ func TestBatcherCloseDrains(t *testing.T) {
 	if _, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(2)}}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after Close = %v, want ErrClosed", err)
 	}
-	if got := counterValue(o.Registry().Snapshot(), "serve.batch.flush.drain"); got != 1 {
-		t.Errorf("drain flushes = %d, want 1", got)
-	}
 }
 
 // A drain that overruns its deadline cancels in-flight work and still
@@ -278,7 +191,6 @@ func TestBatcherCloseDeadline(t *testing.T) {
 	runner := &fakeRunner{block: release}
 	b := New(Config{
 		Service: &core.Service{Runner: runner, Obs: obs.New(obs.Config{})},
-		MaxWait: time.Millisecond,
 	})
 	j, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
 	if err != nil {
@@ -306,7 +218,7 @@ func TestBatcherRejectsEmpty(t *testing.T) {
 // routing survives the race detector.
 func TestBatcherConcurrentSubmitters(t *testing.T) {
 	runner := &fakeRunner{}
-	b := newBatcher(t, runner, Config{MaxBatch: 8, MaxWait: 5 * time.Millisecond, Parallel: 2})
+	b := newBatcher(t, runner, Config{})
 	var wg sync.WaitGroup
 	var bad atomic.Int64
 	for seed := int64(1); seed <= 40; seed++ {
@@ -330,110 +242,106 @@ func TestBatcherConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// counterValue digs a counter out of a registry snapshot.
-func counterValue(snap obs.Snapshot, name string) int64 {
-	for _, c := range snap.Counters {
-		if c.Name == name {
-			return c.Value
+// cachedService is a Service over a memory store, with point(seed)
+// already cached for each seed in warm.
+func cachedService(t *testing.T, runner core.Runner, warm ...int64) *core.Service {
+	t.Helper()
+	store := core.NewMemoryStore(0)
+	for _, seed := range warm {
+		p := point(seed)
+		h, err := p.Hash()
+		if err != nil {
+			t.Fatal(err)
 		}
+		k := core.Key{ScenarioHash: h, Seed: seed}
+		store.Put(k, core.Entry{Key: k, Metrics: sim.Metrics{FramesSent: int(seed)}})
 	}
-	return 0
+	return &core.Service{Runner: runner, Store: store, Obs: obs.New(obs.Config{})}
 }
 
-// A max-wait timer armed for one pending generation must never flush the
-// next generation of the same class: Stop is advisory (the callback may
-// already be scheduled when the size flush calls it), so timerFlush's
-// identity check is what protects the younger batch's coalescing window.
-func TestBatcherStaleTimerHarmless(t *testing.T) {
-	runner := &fakeRunner{}
-	o := obs.New(obs.Config{})
-	b := newBatcher(t, runner, Config{MaxBatch: 2, MaxWait: time.Hour, Obs: o})
+// A job whose points are all cached returns while another job's run holds
+// the execution slot: cache hits never queue behind execution.
+func TestBatcherWarmJobSkipsBusyRunner(t *testing.T) {
+	release := make(chan struct{})
+	runner := &fakeRunner{block: release, entered: make(chan struct{}, 1)}
+	b := newBatcher(t, runner, Config{Service: cachedService(t, runner, 1)})
+	defer close(release)
 
-	j1, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
+	cold, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(2)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.mu.Lock()
-	gen1 := b.classes[""]
-	b.mu.Unlock()
-	if gen1 == nil || gen1.timer == nil {
-		t.Fatal("first submission did not arm the max-wait timer")
-	}
-	j2, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(2)}}) // size flush
+	<-runner.entered // the cold job now holds the slot
+	warm, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j3, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(3)}}) // next generation
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case <-warm.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("warm job waited for the busy runner")
 	}
-	b.mu.Lock()
-	gen2 := b.classes[""]
-	b.mu.Unlock()
-	if gen2 == nil || gen2 == gen1 {
-		t.Fatalf("expected a fresh pending generation after the size flush (gen1=%p gen2=%p)", gen1, gen2)
+	res, err := warm.Results()
+	if err != nil || len(res) != 1 || !res[0].Cached || res[0].Metrics.FramesSent != 1 {
+		t.Errorf("warm job = %+v, %v; want one cached point", res, err)
 	}
-
-	// The stale callback fires after its batch is long gone: it must not
-	// touch gen2.
-	b.timerFlush("", gen1)
-	if got := o.Counter("serve.batch.flush.timer").Value(); got != 0 {
-		t.Fatalf("stale timer flushed a batch (flush.timer = %d)", got)
-	}
-	b.mu.Lock()
-	intact := b.classes[""] == gen2 && len(gen2.jobs) == 1
-	b.mu.Unlock()
-	if !intact {
-		t.Fatal("stale timer callback disturbed the younger pending batch")
-	}
-
-	// The live generation's own callback still flushes it.
-	b.timerFlush("", gen2)
-	if _, err := j3.Results(); err != nil {
-		t.Fatal(err)
-	}
-	if got := o.Counter("serve.batch.flush.timer").Value(); got != 1 {
-		t.Errorf("flush.timer = %d, want 1", got)
-	}
-	if _, err := j1.Results(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j2.Results(); err != nil {
-		t.Fatal(err)
+	select {
+	case <-cold.Done():
+		t.Error("cold job finished before its runner was released")
+	default:
 	}
 }
 
-// A size-triggered flush stops the armed max-wait timer outright: after
-// the wait window passes, no timer callback has fired and no timer
-// goroutine is left running.
-func TestBatcherSizeFlushStopsTimer(t *testing.T) {
-	runner := &fakeRunner{}
+// A resubmission that arrives while its point is running waits for the
+// slot, finds the point cached on its second probe and is not run again.
+func TestBatcherResubmissionWhileRunningNotRerun(t *testing.T) {
+	release := make(chan struct{})
+	// Room for a second, wrong, Runner call, so it fails the count below
+	// instead of blocking.
+	runner := &fakeRunner{block: release, entered: make(chan struct{}, 2)}
 	o := obs.New(obs.Config{})
-	b := newBatcher(t, runner, Config{MaxBatch: 2, MaxWait: 30 * time.Millisecond, Obs: o})
+	svc := cachedService(t, runner)
+	svc.Obs = o
+	b := newBatcher(t, runner, Config{Service: svc})
 
-	j1, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(1)}})
+	first, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(5)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(2)}})
+	<-runner.entered
+	second, err := b.Submit(context.Background(), Request{Points: []sim.Scenario{point(5)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j1.Results(); err != nil {
-		t.Fatal(err)
+	// Release the runner only once the resubmission has missed the cache
+	// and is waiting for the slot.
+	deadline := time.Now().Add(5 * time.Second)
+	for leaktest.Count("cbma/internal/serve/core.(*Service).acquire") == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("resubmission never waited for the execution slot")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if _, err := j2.Results(); err != nil {
-		t.Fatal(err)
-	}
+	close(release)
 
-	time.Sleep(3 * b.cfg.MaxWait) // well past the window the timer was armed for
-	if got := o.Counter("serve.batch.flush.timer").Value(); got != 0 {
-		t.Errorf("stopped timer still flushed (flush.timer = %d)", got)
+	r1, err1 := first.Results()
+	r2, err2 := second.Results()
+	if err1 != nil || err2 != nil {
+		t.Fatalf("job errors: %v, %v", err1, err2)
 	}
-	if n := leaktest.Count("cbma/internal/serve/batch.(*Batcher).timerFlush"); n != 0 {
-		t.Errorf("%d timer callback goroutines still running", n)
+	if got := runner.callCount(); got != 1 {
+		t.Errorf("runner ran %d times, want 1", got)
 	}
-	if got := o.Counter("serve.batch.flush.size").Value(); got != 1 {
-		t.Errorf("flush.size = %d, want 1", got)
+	if r1[0].Cached || !r2[0].Cached {
+		t.Errorf("cached = %v, %v; want false, true", r1[0].Cached, r2[0].Cached)
+	}
+	if !reflect.DeepEqual(r2[0].Metrics, r1[0].Metrics) {
+		t.Errorf("resubmission metrics %+v differ from the run's %+v", r2[0].Metrics, r1[0].Metrics)
+	}
+	if got := o.Counter("serve.cache.hits").Value(); got != 1 {
+		t.Errorf("serve.cache.hits = %d, want 1", got)
+	}
+	if got := o.Counter("serve.cache.misses").Value(); got != 1 {
+		t.Errorf("serve.cache.misses = %d, want 1", got)
 	}
 }

@@ -21,9 +21,10 @@ import (
 
 // Runner executes a slice of campaign points and returns their Metrics,
 // indexed like the points. It is the seam between the serving stack and
-// the simulation engine: the daemon runs campaigns through it, tests
-// substitute counting or failing runners, and a future sharded executor
-// (ROADMAP) slots in here without touching the cache or batch layers.
+// the simulation engine: the daemon runs campaigns through it, either
+// in-process (CampaignRunner) or across worker processes (the shard
+// coordinator), and tests substitute counting, blocking or failing
+// runners. Service runs at most one Runner call at a time.
 //
 // Implementations must preserve sim.RunCampaignContext's contract: every
 // point is attempted regardless of other points' failures, failed points

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cbma/internal/fault"
 	"cbma/internal/obs"
@@ -241,4 +242,69 @@ type runnerFunc func(ctx context.Context, points []sim.Scenario, opts sim.Campai
 
 func (f runnerFunc) Run(ctx context.Context, points []sim.Scenario, opts sim.CampaignOpts) ([]sim.Metrics, error) {
 	return f(ctx, points, opts)
+}
+
+// The execution slot: while one run holds it, a run whose context ends
+// while it waits never reaches the Runner and reports its points as
+// Interrupted; a fully cached run does not wait at all. Only runs with
+// misses record a serve.exec_wait_ns sample.
+func TestServiceExecSlot(t *testing.T) {
+	// entered has room for a second, wrong, Runner call, so it fails the
+	// call count below instead of blocking.
+	entered, release := make(chan struct{}, 2), make(chan struct{})
+	var calls atomic.Int64
+	o := obs.New(obs.Config{})
+	svc := &Service{
+		Runner: runnerFunc(func(ctx context.Context, points []sim.Scenario, opts sim.CampaignOpts) ([]sim.Metrics, error) {
+			calls.Add(1)
+			entered <- struct{}{}
+			<-release
+			return make([]sim.Metrics, len(points)), nil
+		}),
+		Store: NewMemoryStore(0),
+		Obs:   o,
+	}
+	warm := quickScenario(1)
+	h, err := warm.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := Key{ScenarioHash: h, Seed: warm.Seed}
+	svc.Store.Put(k, Entry{Key: k, Metrics: sim.Metrics{FramesSent: 9}})
+
+	holder := make(chan error, 1)
+	go func() {
+		_, err := svc.Run(context.Background(), []sim.Scenario{quickScenario(2)}, sim.CampaignOpts{})
+		holder <- err
+	}()
+	<-entered
+
+	res, err := svc.Run(context.Background(), []sim.Scenario{warm}, sim.CampaignOpts{})
+	if err != nil || !res[0].Cached || res[0].Metrics.FramesSent != 9 {
+		t.Errorf("cached run while the slot is held = %+v, %v", res, err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res, err = svc.Run(ctx, []sim.Scenario{quickScenario(3)}, sim.CampaignOpts{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("waiting run err = %v, want context.DeadlineExceeded", err)
+	}
+	if !res[0].Metrics.Interrupted || res[0].Cached {
+		t.Errorf("waiting run result = %+v, want Interrupted, not cached", res[0])
+	}
+
+	close(release)
+	if err := <-holder; err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("runner called %d times, want 1", got)
+	}
+	if got := o.Histogram("serve.exec_wait_ns").Count(); got != 2 {
+		t.Errorf("serve.exec_wait_ns count = %d, want 2 (the two runs with misses)", got)
+	}
+	if got := svc.Store.(*MemoryStore).Len(); got != 2 {
+		t.Errorf("store holds %d entries, want 2 (the cancelled point is not cached)", got)
+	}
 }
