@@ -27,6 +27,7 @@ fuzz:
 	go test ./internal/rx/ -fuzz FuzzDecodeFrame -fuzztime $(FUZZTIME) -run '^$$'
 	go test ./internal/serve/core/ -fuzz FuzzDiskStoreEntry -fuzztime $(FUZZTIME) -run '^$$'
 	go test ./cmd/cbmad/ -fuzz FuzzSubmitBody -fuzztime $(FUZZTIME) -run '^$$'
+	go test ./internal/sim/ -fuzz FuzzTraceReplay -fuzztime $(FUZZTIME) -run '^$$'
 
 bench:
 	go test ./internal/sim/ -run '^$$' -bench BenchmarkCampaignFig8a -benchtime 1x

@@ -186,18 +186,13 @@ func drawExp(rng *rand.Rand, mean float64) float64 {
 	return v
 }
 
-// ExcitationGate produces the on/off envelope of an intermittent excitation
-// signal, e.g. OFDM WiFi packets used as the exciter (§VII-C3 case iv): ON
+// ExcitationGateInto writes the n-sample on/off envelope of an intermittent
+// excitation signal into dst (grown as needed, fully overwritten) and
+// returns it. The exciter is e.g. OFDM WiFi packets (§VII-C3 case iv): ON
 // runs of mean onSec separated by OFF gaps of mean offSec. Tags reflect only
 // while the exciter transmits, but do not know its timing — multiplying this
 // envelope into every tag's waveform reproduces the "tags do not know when
 // there is signal they can reflect" degradation.
-func ExcitationGate(rng *rand.Rand, n int, sampleRateHz, onSec, offSec float64) []float64 {
-	return ExcitationGateInto(nil, rng, n, sampleRateHz, onSec, offSec)
-}
-
-// ExcitationGateInto is ExcitationGate writing the n-sample envelope into
-// dst (grown as needed, fully overwritten) and returning it.
 func ExcitationGateInto(dst []float64, rng *rand.Rand, n int, sampleRateHz, onSec, offSec float64) []float64 {
 	if onSec <= 0 {
 		onSec = 2e-3

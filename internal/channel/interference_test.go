@@ -13,7 +13,7 @@ func TestAWGNPowerCalibration(t *testing.T) {
 	const want = 2.5e-7
 	x := make([]complex128, 200000)
 	AWGN(rng, x, want)
-	got := dsp.MeanPower(x)
+	got := dsp.Energy(x) / float64(len(x))
 	if got < want*0.97 || got > want*1.03 {
 		t.Errorf("noise power %v, want ≈%v", got, want)
 	}
@@ -32,14 +32,16 @@ func TestAWGNZeroPowerIsNoop(t *testing.T) {
 	}
 }
 
+// TestNoiseVectorLength fills a caller-made noise vector through AWGN: every
+// one of its samples is drawn, none left at zero.
 func TestNoiseVectorLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	x := NoiseVector(rng, 64, 1e-9)
-	if len(x) != 64 {
-		t.Fatalf("len %d", len(x))
-	}
-	if dsp.Energy(x) == 0 {
-		t.Error("noise must be non-zero")
+	x := make([]complex128, 64)
+	AWGN(rng, x, 1e-9)
+	for i, v := range x {
+		if v == 0 {
+			t.Fatalf("sample %d of %d left at zero", i, len(x))
+		}
 	}
 }
 
@@ -115,7 +117,7 @@ func TestBluetoothInterfererTonePower(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := make([]complex128, 10000)
 	b.Apply(rng, x, 1e6)
-	got := dsp.DBm(dsp.MeanPower(x))
+	got := dsp.DBm(dsp.Energy(x) / float64(len(x)))
 	if math.Abs(got-(-45)) > 0.5 {
 		t.Errorf("tone power %v dBm, want -45", got)
 	}
@@ -124,7 +126,7 @@ func TestBluetoothInterfererTonePower(t *testing.T) {
 func TestExcitationGateDuty(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const n = 400000
-	gate := ExcitationGate(rng, n, 10e6, 2e-3, 1e-3)
+	gate := ExcitationGateInto(nil, rng, n, 10e6, 2e-3, 1e-3)
 	var on float64
 	for _, v := range gate {
 		if v != 0 && v != 1 {
@@ -140,25 +142,25 @@ func TestExcitationGateDuty(t *testing.T) {
 
 func TestExcitationGateDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	gate := ExcitationGate(rng, 1000, 1e6, 0, 0)
+	gate := ExcitationGateInto(nil, rng, 1000, 1e6, 0, 0)
 	if len(gate) != 1000 {
 		t.Fatalf("len %d", len(gate))
 	}
 }
 
 func TestMultipathPreservesAveragePower(t *testing.T) {
-	m := DefaultMultipath()
+	m := Multipath{Taps: 3, TapSpacingSec: 50e-9, DecayDB: 6}
 	rng := rand.New(rand.NewSource(10))
 	x := make([]complex128, 20000)
 	for i := range x {
 		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	inP := dsp.MeanPower(x)
+	inP := dsp.Energy(x) / float64(len(x))
 	var acc float64
 	const trials = 200
 	for i := 0; i < trials; i++ {
 		y := m.Apply(rng, x, 20e6)
-		acc += dsp.MeanPower(y)
+		acc += dsp.Energy(y) / float64(len(y))
 	}
 	ratio := acc / trials / inP
 	if ratio < 0.9 || ratio > 1.1 {
@@ -181,7 +183,7 @@ func TestMultipathSingleTapIsScaledIdentity(t *testing.T) {
 func TestMultipathZeroTapsClamps(t *testing.T) {
 	m := Multipath{Taps: 0}
 	rng := rand.New(rand.NewSource(12))
-	coeffs, delays := m.Realize(rng, 1e6)
+	coeffs, delays := m.realizeInto(nil, nil, rng, 1e6)
 	if len(coeffs) != 1 || len(delays) != 1 {
 		t.Fatalf("got %d taps, want 1", len(coeffs))
 	}
@@ -190,7 +192,7 @@ func TestMultipathZeroTapsClamps(t *testing.T) {
 func TestMultipathDelaysQuantize(t *testing.T) {
 	m := Multipath{Taps: 3, TapSpacingSec: 1e-6, DecayDB: 3}
 	rng := rand.New(rand.NewSource(13))
-	_, delays := m.Realize(rng, 4e6)
+	_, delays := m.realizeInto(nil, nil, rng, 4e6)
 	if delays[1] != 4 || delays[2] != 8 {
 		t.Errorf("delays %v, want [0 4 8]", delays)
 	}
@@ -224,7 +226,7 @@ func TestIntoFormsOverwriteReusedStorage(t *testing.T) {
 			}
 		}
 	}
-	want := ExcitationGate(rand.New(rand.NewSource(22)), 3000, 1e6, 2e-4, 1e-4)
+	want := ExcitationGateInto(nil, rand.New(rand.NewSource(22)), 3000, 1e6, 2e-4, 1e-4)
 	dirty := make([]float64, 4000)
 	for i := range dirty {
 		dirty[i] = 7

@@ -21,20 +21,11 @@ type Multipath struct {
 	DecayDB float64
 }
 
-// DefaultMultipath returns a mild 3-tap office profile.
-func DefaultMultipath() Multipath {
-	return Multipath{Taps: 3, TapSpacingSec: 50e-9, DecayDB: 6}
-}
-
-// Realize draws complex tap coefficients (first tap deterministic unit,
-// later taps Rayleigh with decaying power) and returns them with their
-// integer sample delays at the given rate. Taps that round to the same
-// sample delay merge implicitly when applied.
-func (m Multipath) Realize(rng *rand.Rand, sampleRateHz float64) (coeffs []complex128, delays []int) {
-	return m.realizeInto(nil, nil, rng, sampleRateHz)
-}
-
-// realizeInto is Realize appending to caller storage (cleared first).
+// realizeInto draws complex tap coefficients (first tap deterministic unit,
+// later taps Rayleigh with decaying power) and appends them with their
+// integer sample delays at the given rate to caller storage (cleared
+// first). Taps that round to the same sample delay merge implicitly when
+// applied.
 func (m Multipath) realizeInto(coeffs []complex128, delays []int, rng *rand.Rand, sampleRateHz float64) ([]complex128, []int) {
 	taps := m.Taps
 	if taps < 1 {

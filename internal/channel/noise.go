@@ -16,11 +16,3 @@ func AWGN(rng *rand.Rand, samples []complex128, powerW float64) {
 		samples[i] += complex(sigma*rng.NormFloat64(), sigma*rng.NormFloat64())
 	}
 }
-
-// NoiseVector returns n samples of complex Gaussian noise with per-sample
-// power powerW.
-func NoiseVector(rng *rand.Rand, n int, powerW float64) []complex128 {
-	out := make([]complex128, n)
-	AWGN(rng, out, powerW)
-	return out
-}

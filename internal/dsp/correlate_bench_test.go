@@ -5,71 +5,6 @@ import (
 	"testing"
 )
 
-// Benchmark templates mirror the receiver's preamble matched filters: an
-// 8-bit preamble over a 31- or 127-chip code at 4 samples per chip. The
-// input is four template lengths of samples — the scale of one collision
-// round's alignment sweep.
-
-func benchVectors(chips int) (x []complex128, env []float64, tmpl []float64) {
-	rng := rand.New(rand.NewSource(9))
-	m := 8 * chips * 4
-	n := 4 * m
-	x = randComplex(rng, n)
-	env = randReal(rng, n)
-	tmpl = randReal(rng, m)
-	return x, env, tmpl
-}
-
-func benchmarkCorrelateRealDirect(b *testing.B, chips int) {
-	_, env, tmpl := benchVectors(chips)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := CrossCorrelateReal(env, tmpl); out == nil {
-			b.Fatal("nil result")
-		}
-	}
-}
-
-func benchmarkCorrelateRealFFT(b *testing.B, chips int) {
-	_, env, tmpl := benchVectors(chips)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if out := CrossCorrelateRealFFT(env, tmpl); out == nil {
-			b.Fatal("nil result")
-		}
-	}
-}
-
-func BenchmarkCorrelateReal31Direct(b *testing.B) { benchmarkCorrelateRealDirect(b, 31) }
-func BenchmarkCorrelateReal31FFT(b *testing.B)    { benchmarkCorrelateRealFFT(b, 31) }
-
-func BenchmarkCorrelateReal127Direct(b *testing.B) { benchmarkCorrelateRealDirect(b, 127) }
-func BenchmarkCorrelateReal127FFT(b *testing.B)    { benchmarkCorrelateRealFFT(b, 127) }
-
-func benchmarkCorrelateComplex(b *testing.B, chips int, fft bool) {
-	x, _, _ := benchVectors(chips)
-	rng := rand.New(rand.NewSource(10))
-	tmpl := randComplex(rng, 8*chips*4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var out []complex128
-		if fft {
-			out = CrossCorrelateFFT(x, tmpl)
-		} else {
-			out = CrossCorrelate(x, tmpl)
-		}
-		if out == nil {
-			b.Fatal("nil result")
-		}
-	}
-}
-
-func BenchmarkCorrelateComplex127Direct(b *testing.B) { benchmarkCorrelateComplex(b, 127, false) }
-func BenchmarkCorrelateComplex127FFT(b *testing.B)    { benchmarkCorrelateComplex(b, 127, true) }
-
 // BenchmarkCorrelateBankSweep127 measures the receiver-shaped query: ten
 // 127-chip preamble templates swept over one alignment window, sharing the
 // input transform.

@@ -1,16 +1,17 @@
-// Package dsp provides the complex-baseband digital signal processing
-// substrate used throughout the CBMA simulator: I/Q vector arithmetic,
-// filtering, correlation, a radix-2 FFT, resampling and tone detection.
+// Package dsp holds the signal-processing kernels the CBMA simulator runs:
+// the receiver's matched-filter bank (FilterBank, the one correlator, with
+// its radix-2 FFT fast path), the moving-average and prefix-sum energy
+// detectors, envelope and power helpers, chip-rate block sums, and the
+// in-place fractional delay the channel applies per tag.
 //
-// All routines operate on []complex128 sample vectors. The package has no
-// internal state and no global configuration; every function is a pure
-// transformation so callers can compose them freely and deterministically.
+// The routines keep no global configuration; apart from the immutable FFT
+// plan cache, every function is a pure transformation of its arguments, so
+// results are deterministic whatever the call order.
 package dsp
 
 import (
 	"errors"
 	"math"
-	"math/cmplx"
 )
 
 // ErrEmptyInput is returned by routines that cannot operate on a zero-length
@@ -20,82 +21,6 @@ var ErrEmptyInput = errors.New("dsp: empty input")
 // ErrLengthMismatch is returned when two vectors that must have equal length
 // do not.
 var ErrLengthMismatch = errors.New("dsp: length mismatch")
-
-// Add returns the element-wise sum a + b. Both inputs must have the same
-// length.
-func Add(a, b []complex128) ([]complex128, error) {
-	if len(a) != len(b) {
-		return nil, ErrLengthMismatch
-	}
-	out := make([]complex128, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
-}
-
-// AccumulateInto adds src into dst element-wise, in place. dst and src must
-// have equal length. It is the hot path used by the simulation engine when
-// summing per-tag waveforms, so it avoids allocation.
-//
-//cbma:hotpath
-func AccumulateInto(dst, src []complex128) error {
-	if len(dst) != len(src) {
-		return ErrLengthMismatch
-	}
-	for i := range src {
-		dst[i] += src[i]
-	}
-	return nil
-}
-
-// Scale returns a copy of x with every sample multiplied by the complex
-// gain g.
-func Scale(x []complex128, g complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] * g
-	}
-	return out
-}
-
-// ScaleInto multiplies every sample of x by g in place.
-//
-//cbma:hotpath
-func ScaleInto(x []complex128, g complex128) {
-	for i := range x {
-		x[i] *= g
-	}
-}
-
-// Conj returns the element-wise complex conjugate of x.
-func Conj(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = cmplx.Conj(x[i])
-	}
-	return out
-}
-
-// Magnitude returns |x[i]| for every sample.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = cmplx.Abs(x[i])
-	}
-	return out
-}
-
-// MagSquared returns |x[i]|² for every sample. It avoids the square root of
-// Magnitude and is the preferred instantaneous-power estimate.
-func MagSquared(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i := range x {
-		re, im := real(x[i]), imag(x[i])
-		out[i] = re*re + im*im
-	}
-	return out
-}
 
 // MagnitudeInto writes |x[i]| into dst, growing it as needed, and returns
 // the filled slice. Receivers reuse one buffer across calls through this.
@@ -107,8 +32,7 @@ func MagnitudeInto(dst []float64, x []complex128) []float64 {
 	}
 	dst = dst[:len(x)]
 	for i := range x {
-		// math.Hypot matches cmplx.Abs bit-for-bit, so a receiver switching
-		// from Magnitude to this in-place form sees identical envelopes.
+		// math.Hypot matches cmplx.Abs bit-for-bit.
 		dst[i] = math.Hypot(real(x[i]), imag(x[i]))
 	}
 	return dst
@@ -127,19 +51,6 @@ func MagSquaredInto(dst []float64, x []complex128) []float64 {
 		dst[i] = re*re + im*im
 	}
 	return dst
-}
-
-// DotConj returns the inner product Σ a[i]·conj(b[i]). It is the core
-// primitive of correlation-based detection.
-func DotConj(a, b []complex128) (complex128, error) {
-	if len(a) != len(b) {
-		return 0, ErrLengthMismatch
-	}
-	var acc complex128
-	for i := range a {
-		acc += a[i] * cmplx.Conj(b[i])
-	}
-	return acc, nil
 }
 
 // DotReal returns the real-valued inner product Σ a[i]·b[i] of two real
@@ -163,82 +74,4 @@ func Energy(x []complex128) float64 {
 		acc += re*re + im*im
 	}
 	return acc
-}
-
-// MeanPower returns the average per-sample power of x, or 0 for an empty
-// vector.
-func MeanPower(x []complex128) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Energy(x) / float64(len(x))
-}
-
-// RMS returns the root-mean-square amplitude of x.
-func RMS(x []complex128) float64 {
-	return math.Sqrt(MeanPower(x))
-}
-
-// Normalize returns a copy of x scaled to unit RMS. A zero vector is
-// returned unchanged.
-func Normalize(x []complex128) []complex128 {
-	r := RMS(x)
-	if r == 0 {
-		out := make([]complex128, len(x))
-		copy(out, x)
-		return out
-	}
-	return Scale(x, complex(1/r, 0))
-}
-
-// Rotate returns x multiplied by the unit phasor e^{jθ}.
-func Rotate(x []complex128, theta float64) []complex128 {
-	return Scale(x, cmplx.Exp(complex(0, theta)))
-}
-
-// MixTone multiplies x by a complex exponential of normalized frequency
-// f (cycles per sample) and initial phase phase, i.e. a digital
-// down/up-conversion by f.
-func MixTone(x []complex128, f, phase float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] * cmplx.Exp(complex(0, 2*math.Pi*f*float64(i)+phase))
-	}
-	return out
-}
-
-// Tone synthesizes n samples of a unit-amplitude complex exponential at
-// normalized frequency f (cycles per sample) with initial phase phase.
-func Tone(n int, f, phase float64) []complex128 {
-	out := make([]complex128, n)
-	for i := range out {
-		out[i] = cmplx.Exp(complex(0, 2*math.Pi*f*float64(i)+phase))
-	}
-	return out
-}
-
-// ArgMaxFloat returns the index of the maximum element of x, and that
-// maximum. It returns an error for empty input.
-func ArgMaxFloat(x []float64) (int, float64, error) {
-	if len(x) == 0 {
-		return 0, 0, ErrEmptyInput
-	}
-	best, bestV := 0, x[0]
-	for i, v := range x[1:] {
-		if v > bestV {
-			best, bestV = i+1, v
-		}
-	}
-	return best, bestV, nil
-}
-
-// MaxAbs returns the largest |x[i]| of the vector, or 0 for empty input.
-func MaxAbs(x []complex128) float64 {
-	var m float64
-	for i := range x {
-		if a := cmplx.Abs(x[i]); a > m {
-			m = a
-		}
-	}
-	return m
 }

@@ -1,20 +1,10 @@
 package dsp
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 	"sync"
 )
-
-// ErrNotPowerOfTwo is returned by FFT when the input length is not a power
-// of two.
-var ErrNotPowerOfTwo = errors.New("dsp: FFT length must be a power of two")
-
-// IsPowerOfTwo reports whether n is a positive power of two.
-func IsPowerOfTwo(n int) bool {
-	return n > 0 && n&(n-1) == 0
-}
 
 // NextPowerOfTwo returns the smallest power of two ≥ n (minimum 1).
 func NextPowerOfTwo(n int) int {
@@ -115,74 +105,4 @@ func (p *fftPlan) forwardInPlace(buf []complex128) {
 func (p *fftPlan) inverseInPlace(buf []complex128) {
 	p.bitReverseInPlace(buf)
 	p.butterflies(buf, true)
-}
-
-// FFT computes the in-order decimation-in-time radix-2 FFT of x. The input
-// length must be a power of two; the input is not modified.
-func FFT(x []complex128) ([]complex128, error) {
-	return fft(x, false)
-}
-
-// IFFT computes the inverse FFT of x (including the 1/N scaling).
-func IFFT(x []complex128) ([]complex128, error) {
-	return fft(x, true)
-}
-
-func fft(x []complex128, inverse bool) ([]complex128, error) {
-	n := len(x)
-	if !IsPowerOfTwo(n) {
-		return nil, ErrNotPowerOfTwo
-	}
-	out := make([]complex128, n)
-	copy(out, x)
-	p := planFor(n)
-	p.bitReverseInPlace(out)
-	p.butterflies(out, inverse)
-	return out, nil
-}
-
-// FFTCorrelate computes the same result as CrossCorrelate(x, t) using the
-// frequency domain, which is asymptotically faster for long templates. It
-// zero-pads both operands to a power of two ≥ len(x)+len(t)-1. See
-// CrossCorrelateFFT for the block-streaming (overlap-add) variant that
-// bounds the transform size for very long inputs.
-func FFTCorrelate(x, t []complex128) ([]complex128, error) {
-	n, m := len(x), len(t)
-	if m == 0 || m > n {
-		return nil, ErrEmptyInput
-	}
-	size := NextPowerOfTwo(n + m - 1)
-	xp := make([]complex128, size)
-	copy(xp, x)
-	tp := make([]complex128, size)
-	copy(tp, t)
-	p := planFor(size)
-	p.forwardInPlace(xp)
-	p.forwardInPlace(tp)
-	for i := range xp {
-		tr, ti := real(tp[i]), -imag(tp[i])
-		xp[i] *= complex(tr, ti)
-	}
-	p.inverseInPlace(xp)
-	// Correlation at lag k is the k-th element of the circular result;
-	// valid lags are 0 … n-m.
-	out := make([]complex128, n-m+1)
-	copy(out, xp[:n-m+1])
-	return out, nil
-}
-
-// PowerSpectrum returns |FFT(x)|² normalized by the vector length, a
-// convenience for the spectrum-inspection tooling.
-func PowerSpectrum(x []complex128) ([]float64, error) {
-	f, err := FFT(x)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(f))
-	inv := 1 / float64(len(f))
-	for i := range f {
-		re, im := real(f[i]), imag(f[i])
-		out[i] = (re*re + im*im) * inv
-	}
-	return out, nil
 }

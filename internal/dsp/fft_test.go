@@ -7,19 +7,19 @@ import (
 	"testing"
 )
 
-func TestIsPowerOfTwo(t *testing.T) {
-	tests := []struct {
-		n    int
-		want bool
-	}{
-		{0, false}, {1, true}, {2, true}, {3, false}, {4, true},
-		{1023, false}, {1024, true}, {-4, false},
+// fft transforms a copy of x (length a power of two) through the cached
+// plan the filter bank runs on; inverse includes the 1/N scaling. The
+// identity tests below check that plan against the DFT's defining
+// properties.
+func fft(x []complex128, inverse bool) []complex128 {
+	out := append([]complex128(nil), x...)
+	p := planFor(len(out))
+	if inverse {
+		p.inverseInPlace(out)
+	} else {
+		p.forwardInPlace(out)
 	}
-	for _, tc := range tests {
-		if got := IsPowerOfTwo(tc.n); got != tc.want {
-			t.Errorf("IsPowerOfTwo(%d) = %v, want %v", tc.n, got, tc.want)
-		}
-	}
+	return out
 }
 
 func TestNextPowerOfTwo(t *testing.T) {
@@ -33,21 +33,11 @@ func TestNextPowerOfTwo(t *testing.T) {
 	}
 }
 
-func TestFFTRejectsNonPowerOfTwo(t *testing.T) {
-	if _, err := FFT(make([]complex128, 3)); err != ErrNotPowerOfTwo {
-		t.Fatalf("got err %v, want ErrNotPowerOfTwo", err)
-	}
-}
-
 func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all-ones.
 	x := make([]complex128, 8)
 	x[0] = 1
-	f, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range f {
+	for i, v := range fft(x, false) {
 		if !complexAlmostEqual(v, 1, 1e-12) {
 			t.Errorf("bin %d = %v, want 1", i, v)
 		}
@@ -57,12 +47,11 @@ func TestFFTImpulse(t *testing.T) {
 func TestFFTSingleTone(t *testing.T) {
 	// A tone at bin k concentrates all energy in that bin.
 	const n, k = 64, 5
-	x := Tone(n, float64(k)/n, 0)
-	f, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = cmplx.Exp(complex(0, 2*math.Pi*k*float64(i)/n))
 	}
-	for i, v := range f {
+	for i, v := range fft(x, false) {
 		mag := cmplx.Abs(v)
 		if i == k {
 			if !almostEqual(mag, n, 1e-9) {
@@ -78,14 +67,7 @@ func TestFFTRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for _, n := range []int{1, 2, 4, 16, 128, 1024} {
 		x := randomVector(r, n)
-		f, err := FFT(x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := IFFT(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		back := fft(fft(x, false), true)
 		for i := range x {
 			if !complexAlmostEqual(back[i], x[i], 1e-9) {
 				t.Fatalf("n=%d sample %d: %v != %v", n, i, back[i], x[i])
@@ -97,10 +79,7 @@ func TestFFTRoundTrip(t *testing.T) {
 func TestFFTParseval(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	x := randomVector(r, 256)
-	f, err := FFT(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := fft(x, false)
 	// Parseval: Σ|x|² = (1/N) Σ|X|².
 	if !almostEqual(Energy(x), Energy(f)/256, 1e-6) {
 		t.Errorf("Parseval violated: time %v vs freq %v", Energy(x), Energy(f)/256)
@@ -111,126 +90,14 @@ func TestFFTLinearity(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := randomVector(r, 64)
 	b := randomVector(r, 64)
-	sum, err := Add(a, b)
-	if err != nil {
-		t.Fatal(err)
+	sum := make([]complex128, len(a))
+	for i := range a {
+		sum[i] = a[i] + b[i]
 	}
-	fa, _ := FFT(a)
-	fb, _ := FFT(b)
-	fsum, _ := FFT(sum)
+	fa, fb, fsum := fft(a, false), fft(b, false), fft(sum, false)
 	for i := range fsum {
 		if !complexAlmostEqual(fsum[i], fa[i]+fb[i], 1e-9) {
 			t.Fatalf("bin %d: FFT not linear", i)
 		}
-	}
-}
-
-func TestFFTCorrelateMatchesDirect(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	x := randomVector(r, 200)
-	tmpl := randomVector(r, 31)
-	direct := CrossCorrelate(x, tmpl)
-	viaFFT, err := FFTCorrelate(x, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(direct) != len(viaFFT) {
-		t.Fatalf("length %d vs %d", len(direct), len(viaFFT))
-	}
-	for i := range direct {
-		if !complexAlmostEqual(direct[i], viaFFT[i], 1e-6) {
-			t.Fatalf("lag %d: direct %v vs fft %v", i, direct[i], viaFFT[i])
-		}
-	}
-}
-
-func TestFFTCorrelateBadInput(t *testing.T) {
-	if _, err := FFTCorrelate(make([]complex128, 4), make([]complex128, 8)); err == nil {
-		t.Fatal("template longer than input must fail")
-	}
-	if _, err := FFTCorrelate(make([]complex128, 4), nil); err == nil {
-		t.Fatal("empty template must fail")
-	}
-}
-
-func TestPowerSpectrumTone(t *testing.T) {
-	const n, k = 32, 3
-	x := Tone(n, float64(k)/n, 0.7)
-	ps, err := PowerSpectrum(x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	peak, _, err := ArgMaxFloat(ps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if peak != k {
-		t.Errorf("spectrum peak at bin %d, want %d", peak, k)
-	}
-	var total float64
-	for _, p := range ps {
-		total += p
-	}
-	if !almostEqual(total, ps[k], 1e-9) {
-		t.Errorf("tone energy should concentrate in one bin: total %v, peak %v", total, ps[k])
-	}
-}
-
-func BenchmarkFFT1024(b *testing.B) {
-	r := rand.New(rand.NewSource(99))
-	x := randomVector(r, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FFT(x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCrossCorrelateDirect(b *testing.B) {
-	r := rand.New(rand.NewSource(98))
-	x := randomVector(r, 4096)
-	tmpl := randomVector(r, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, tmpl)
-	}
-}
-
-func BenchmarkFFTCorrelate(b *testing.B) {
-	r := rand.New(rand.NewSource(97))
-	x := randomVector(r, 4096)
-	tmpl := randomVector(r, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FFTCorrelate(x, tmpl); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func TestGoertzelMatchesFFTBin(t *testing.T) {
-	r := rand.New(rand.NewSource(15))
-	const n = 64
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.NormFloat64() + math.Sin(2*math.Pi*0.125*float64(i))
-	}
-	cx := make([]complex128, n)
-	for i := range x {
-		cx[i] = complex(x[i], 0)
-	}
-	f, err := FFT(cx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k := 8 // 0.125 * 64
-	want := real(f[k])*real(f[k]) + imag(f[k])*imag(f[k])
-	got := Goertzel(x, float64(k)/n)
-	if !almostEqual(got, want, 1e-6*want) {
-		t.Errorf("Goertzel = %v, FFT bin power = %v", got, want)
 	}
 }

@@ -1,34 +1,10 @@
 package dsp
 
-// MovingAverage filters x with a length-w rectangular window, returning one
-// output per input sample. Output sample i is the mean of the w most recent
-// inputs (fewer at the start, where the window has not yet filled). This is
-// the filter the CBMA receiver applies to the received energy level before
-// frame detection (§III-B of the paper).
-func MovingAverage(x []float64, w int) []float64 {
-	if w <= 1 || len(x) == 0 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, len(x))
-	var acc float64
-	for i := range x {
-		acc += x[i]
-		if i >= w {
-			acc -= x[i-w]
-		}
-		n := i + 1
-		if n > w {
-			n = w
-		}
-		out[i] = acc / float64(n)
-	}
-	return out
-}
-
-// MovingAverager is the streaming form of MovingAverage. Its zero value is
-// not usable; construct with NewMovingAverager.
+// MovingAverager is a streaming moving-average filter: each Push returns the
+// mean of the w most recent samples (fewer at the start, where the window
+// has not yet filled). It is the filter the CBMA receiver applies to the
+// received energy level before frame detection (§III-B of the paper). Its
+// zero value is not usable; construct with NewMovingAverager.
 type MovingAverager struct {
 	buf  []float64
 	head int
@@ -56,63 +32,4 @@ func (m *MovingAverager) Push(v float64) float64 {
 	m.acc += v
 	m.head = (m.head + 1) % len(m.buf)
 	return m.acc / float64(m.n)
-}
-
-// Reset clears the filter state.
-func (m *MovingAverager) Reset() {
-	for i := range m.buf {
-		m.buf[i] = 0
-	}
-	m.head, m.n, m.acc = 0, 0, 0
-}
-
-// FIR filters x with the real coefficient vector h (direct-form convolution,
-// "same" alignment: output i uses taps ending at input i). The complex input
-// is filtered component-wise.
-func FIR(x []complex128, h []float64) []complex128 {
-	out := make([]complex128, len(x))
-	for i := range x {
-		var acc complex128
-		for k := range h {
-			j := i - k
-			if j < 0 {
-				break
-			}
-			acc += x[j] * complex(h[k], 0)
-		}
-		out[i] = acc
-	}
-	return out
-}
-
-// BoxcarTaps returns n equal taps summing to one — a simple low-pass used to
-// band-limit chip transitions.
-func BoxcarTaps(n int) []float64 {
-	if n < 1 {
-		n = 1
-	}
-	h := make([]float64, n)
-	for i := range h {
-		h[i] = 1 / float64(n)
-	}
-	return h
-}
-
-// DCBlock removes the mean of x, returning a zero-mean copy. Backscatter
-// receivers apply this to suppress the strong excitation-source leakage at
-// DC after downconversion.
-func DCBlock(x []complex128) []complex128 {
-	if len(x) == 0 {
-		return nil
-	}
-	var mean complex128
-	for i := range x {
-		mean += x[i]
-	}
-	mean /= complex(float64(len(x)), 0)
-	out := make([]complex128, len(x))
-	for i := range x {
-		out[i] = x[i] - mean
-	}
-	return out
 }

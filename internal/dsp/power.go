@@ -26,15 +26,6 @@ func FromDBm(dbm float64) float64 {
 	return FromDB(dbm - 30)
 }
 
-// AmplitudeForPower returns the real amplitude a such that a constant
-// complex-baseband signal of magnitude a carries per-sample power p.
-func AmplitudeForPower(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return math.Sqrt(p)
-}
-
 // SNRdB estimates the signal-to-noise ratio in dB given a measured total
 // power (signal+noise) and a known noise power. When the measured power does
 // not exceed the noise floor the function returns -Inf; this takes priority
@@ -49,23 +40,4 @@ func SNRdB(totalPower, noisePower float64) float64 {
 		return math.Inf(1)
 	}
 	return DB(sig / noisePower)
-}
-
-// NoisePowerFromDensity returns the in-band noise power for a one-sided
-// noise power spectral density n0 (W/Hz) observed over bandwidth bw (Hz).
-func NoisePowerFromDensity(n0, bw float64) float64 {
-	if n0 < 0 || bw < 0 {
-		return 0
-	}
-	return n0 * bw
-}
-
-// ThermalNoiseDBm returns the thermal noise floor in dBm for the given
-// bandwidth in Hz at a receiver noise figure nfDB, using kT = -174 dBm/Hz at
-// room temperature.
-func ThermalNoiseDBm(bwHz, nfDB float64) float64 {
-	if bwHz <= 0 {
-		return math.Inf(-1)
-	}
-	return -174 + 10*math.Log10(bwHz) + nfDB
 }

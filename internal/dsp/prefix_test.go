@@ -29,24 +29,25 @@ func TestPrefixSumInto(t *testing.T) {
 	}
 }
 
-// TestWindowSumMatchesDirect checks every window of a random buffer against
-// the direct loop. On integer-valued inputs the prefix difference is exact,
-// which is the property the frame-sync fuzz target leans on.
+// TestWindowSumMatchesDirect checks every window sum of a random buffer,
+// taken as the prefix difference p[hi] − p[lo], against the direct loop. On
+// integer-valued inputs that difference is exact, which is the property the
+// frame-sync fuzz target leans on.
 func TestWindowSumMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = float64(rng.Intn(1 << 16))
+	ints := make([]float64, 64)
+	for i := range ints {
+		ints[i] = float64(rng.Intn(1 << 16))
 	}
-	p := PrefixSumInto(nil, x)
-	for lo := 0; lo <= len(x); lo++ {
-		for hi := lo; hi <= len(x); hi++ {
+	p := PrefixSumInto(nil, ints)
+	for lo := 0; lo <= len(ints); lo++ {
+		for hi := lo; hi <= len(ints); hi++ {
 			var want float64
-			for _, v := range x[lo:hi] {
+			for _, v := range ints[lo:hi] {
 				want += v
 			}
-			if got := WindowSum(p, lo, hi); got != want {
-				t.Fatalf("WindowSum(%d,%d) = %v, want %v", lo, hi, got, want)
+			if got := p[hi] - p[lo]; got != want {
+				t.Fatalf("window [%d,%d) = %v, want %v", lo, hi, got, want)
 			}
 		}
 	}

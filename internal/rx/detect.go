@@ -3,8 +3,6 @@ package rx
 import (
 	"math"
 	"math/cmplx"
-	"sync"
-	"sync/atomic"
 
 	"cbma/internal/dsp"
 )
@@ -30,7 +28,7 @@ func complexRealDot(x []complex128, t []float64) complex128 {
 // sweep holds the precomputed per-code correlation rows of one detection
 // window, produced by the frequency-domain filter bank when the window is
 // large enough for the FFT to pay (see Receiver.buildSweep). rows are
-// read-only once built, so the worker pool shares them freely.
+// read-only once built.
 type sweep struct {
 	lo, count int
 	// coh[id][k] is the coherent preamble correlation of code id at lag
@@ -385,7 +383,7 @@ func (r *Receiver) detectUser(sw *sweep, env []float64, x []complex128, id, glob
 		return detection{}, false
 	}
 	dot := complexRealDot(x[bestLag:bestLag+len(tmpl)], tmpl)
-	winE := energyOf(x[bestLag : bestLag+len(tmpl)])
+	winE := dsp.Energy(x[bestLag : bestLag+len(tmpl)])
 	if winE == 0 {
 		return detection{}, false
 	}
@@ -444,122 +442,41 @@ func (r *Receiver) pickLagFromSweep(sw *sweep, id int) int {
 }
 
 // detectAndDecodeAll runs per-code detection and decoding over the buffer,
-// fanning the codes out across Config.Workers goroutines when configured.
-// The pool lives entirely within this call — workers only read the shared
-// buffer, sweep rows and templates, and write code-indexed slots — so
-// Receive stays sequential-safe for callers. Frames return in code order,
-// matching the serial path.
+// returning the decoded frames in code order.
 func (r *Receiver) detectAndDecodeAll(s *Scratch, env []float64, x []complex128, globalStart int, noiseW float64) []DecodedFrame {
 	n := r.cfg.Codes.Size()
 	sw := r.buildSweep(s, env, x, globalStart)
-	workers := r.workerCount(n)
-	if workers <= 1 {
-		frames := make([]DecodedFrame, 0, n)
-		for id := 0; id < n; id++ {
-			detSp := r.obs.Start(r.hDetect)
-			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-			detSp.End()
-			if !ok {
-				continue
-			}
-			decSp := r.obs.Start(r.hDecode)
-			f := r.decodeUser(x, id, det.lag, det.phasor)
-			decSp.End()
-			f.Corr = det.corr
-			frames = append(frames, f)
-		}
-		return frames
-	}
-	type slot struct {
-		f  DecodedFrame
-		ok bool
-	}
-	slots := make([]slot, n)
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				id := int(atomic.AddInt64(&next, 1))
-				if id >= n {
-					return
-				}
-				detSp := r.obs.Start(r.hDetect)
-				det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-				detSp.End()
-				if !ok {
-					continue
-				}
-				decSp := r.obs.Start(r.hDecode)
-				f := r.decodeUser(x, id, det.lag, det.phasor)
-				decSp.End()
-				f.Corr = det.corr
-				slots[id] = slot{f: f, ok: true}
-			}
-		}()
-	}
-	wg.Wait()
-	var frames []DecodedFrame
+	frames := make([]DecodedFrame, 0, n)
 	for id := 0; id < n; id++ {
-		if slots[id].ok {
-			frames = append(frames, slots[id].f)
+		detSp := r.obs.Start(r.hDetect)
+		det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
+		detSp.End()
+		if !ok {
+			continue
 		}
+		decSp := r.obs.Start(r.hDecode)
+		f := r.decodeUser(x, id, det.lag, det.phasor)
+		decSp.End()
+		f.Corr = det.corr
+		frames = append(frames, f)
 	}
 	return frames
 }
 
 // detectBest scans the given codes and returns the one with the strongest
-// detection — the SIC ordering primitive — fanning out across the worker
-// pool when configured. Ties break toward the lowest code ID in both paths.
+// detection — the SIC ordering primitive. Ties break toward the lowest code
+// ID.
 func (r *Receiver) detectBest(s *Scratch, ids []int, env []float64, x []complex128, globalStart int, noiseW float64) (int, detection, bool) {
 	sw := r.buildSweep(s, env, x, globalStart)
-	workers := r.workerCount(len(ids))
-	if workers <= 1 {
-		bestID := -1
-		var bestDet detection
-		for _, id := range ids {
-			det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
-			if !ok {
-				continue
-			}
-			if bestID < 0 || det.corr > bestDet.corr {
-				bestID, bestDet = id, det
-			}
-		}
-		return bestID, bestDet, bestID >= 0
-	}
-	type slot struct {
-		det detection
-		ok  bool
-	}
-	slots := make([]slot, len(ids))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(atomic.AddInt64(&next, 1))
-				if j >= len(ids) {
-					return
-				}
-				det, ok := r.detectUser(sw, env, x, ids[j], globalStart, noiseW)
-				slots[j] = slot{det: det, ok: ok}
-			}
-		}()
-	}
-	wg.Wait()
 	bestID := -1
 	var bestDet detection
-	for j, id := range ids {
-		if !slots[j].ok {
+	for _, id := range ids {
+		det, ok := r.detectUser(sw, env, x, id, globalStart, noiseW)
+		if !ok {
 			continue
 		}
-		if bestID < 0 || slots[j].det.corr > bestDet.corr {
-			bestID, bestDet = id, slots[j].det
+		if bestID < 0 || det.corr > bestDet.corr {
+			bestID, bestDet = id, det
 		}
 	}
 	return bestID, bestDet, bestID >= 0
@@ -576,23 +493,4 @@ func (r *Receiver) noteFFTFallback(where string, err error) {
 	if r.obs.EmitsEvents() {
 		r.obs.Emit("rx_fft_fallback", map[string]any{"where": where, "error": err.Error()})
 	}
-}
-
-// workerCount bounds the per-call worker pool by the configured fan-out and
-// the number of codes to scan.
-func (r *Receiver) workerCount(n int) int {
-	w := r.cfg.Workers
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// energyOf returns Σ|x[i]|².
-func energyOf(x []complex128) float64 {
-	var acc float64
-	for _, v := range x {
-		acc += real(v)*real(v) + imag(v)*imag(v)
-	}
-	return acc
 }

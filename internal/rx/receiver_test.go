@@ -53,6 +53,14 @@ func buildScenario(t testing.TB, set *pn.Set, payloads [][]byte, gains []complex
 	return buf
 }
 
+// noiseOnly returns n samples of complex Gaussian noise of per-sample power
+// powerW: a buffer with no frame in it.
+func noiseOnly(rng *rand.Rand, n int, powerW float64) []complex128 {
+	buf := make([]complex128, n)
+	channel.AWGN(rng, buf, powerW)
+	return buf
+}
+
 func newTestReceiver(t *testing.T, set *pn.Set) *Receiver {
 	t.Helper()
 	r, err := New(Config{
@@ -111,7 +119,7 @@ func TestReceiveEmptyBuffer(t *testing.T) {
 func TestReceiveNoiseOnlyNoDetection(t *testing.T) {
 	r := newTestReceiver(t, goldSet(t, 2))
 	rng := rand.New(rand.NewSource(1))
-	buf := channel.NoiseVector(rng, 20000, testNoise)
+	buf := noiseOnly(rng, 20000, testNoise)
 	res, err := r.Receive(buf)
 	if err != nil {
 		t.Fatal(err)

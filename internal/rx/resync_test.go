@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"cbma/internal/channel"
 )
 
 // newDeafReceiver builds a receiver whose energy detector can never fire
@@ -71,7 +69,7 @@ func TestResyncFallbackRecoversFrame(t *testing.T) {
 func TestResyncRequiresNominalStart(t *testing.T) {
 	r := newDeafReceiver(t, 2, true)
 	rng := rand.New(rand.NewSource(3))
-	buf := channel.NoiseVector(rng, 8000, testNoise)
+	buf := noiseOnly(rng, 8000, testNoise)
 
 	res, err := r.Receive(buf)
 	if err != nil {
@@ -96,7 +94,7 @@ func TestResyncRequiresNominalStart(t *testing.T) {
 func TestResyncNoiseOnlyStaysQuiet(t *testing.T) {
 	r := newDeafReceiver(t, 2, true)
 	rng := rand.New(rand.NewSource(9))
-	buf := channel.NoiseVector(rng, 20000, testNoise)
+	buf := noiseOnly(rng, 20000, testNoise)
 	res, err := r.ReceiveAt(buf, 500)
 	if err != nil {
 		t.Fatal(err)

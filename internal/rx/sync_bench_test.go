@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"cbma/internal/channel"
 	"cbma/internal/dsp"
 	"cbma/internal/pn"
 )
@@ -135,7 +134,7 @@ func BenchmarkReceiveFastVsReference(b *testing.B) {
 			}
 			sig := buildScenario(b, set, payloads, gains, make([]int, 10), 60*testSPC, 200)
 			rng := rand.New(rand.NewSource(9))
-			noise := channel.NoiseVector(rng, len(sig), testNoise)
+			noise := noiseOnly(rng, len(sig), testNoise)
 			for i := range sig {
 				sig[i] += noise[i]
 			}

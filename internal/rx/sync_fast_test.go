@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"cbma/internal/channel"
 	"cbma/internal/dsp"
 	"cbma/internal/obs"
 	"cbma/internal/pn"
@@ -197,7 +196,7 @@ func TestSyncEquivalenceReceive(t *testing.T) {
 	add("sic near-far", gold31, sicCfg,
 		buildScenario(t, gold31, mkPayloads(6, 4), phased(6, 12), offs[:6], lead, 250), -1)
 	rng := rand.New(rand.NewSource(5))
-	add("noise only", gold31, base(gold31), channel.NoiseVector(rng, 20000, testNoise), -1)
+	add("noise only", gold31, base(gold31), noiseOnly(rng, 20000, testNoise), -1)
 	full := buildScenario(t, gold31, mkPayloads(3, 8), phased(3, 17), offs[:3], lead, 0)
 	add("truncated mid-frame", gold31, base(gold31), full[:len(full)-len(full)/3], -1)
 	deafCfg := base(gold31)

@@ -177,18 +177,19 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		return nil, fmt.Errorf("sim: frame length: %w", err)
 	}
 	e.frameSamples = frameChips * spc
-	e.mixSpan = e.mixSpanFor()
+	spread := e.delaySpreadChips()
+	if err := e.checkDelaySpread(spread); err != nil {
+		return nil, err
+	}
+	e.mixSpan = e.mixSpanFor(spread)
 	return e, nil
 }
 
-// mixSpanFor bounds the mixing-buffer length of any round: the noise lead,
-// the widest relative tag delay the scenario's jitter, fixed extra delays
-// and fault-layer clock errors can produce, one frame, and the noise tail.
-// Arenas size a fresh mixing buffer to it, so jitter never regrows the
-// buffer mid-run. (A replayed trace can exceed it; mixFor then grows,
-// which is correct, just not free.)
-func (e *Engine) mixSpanFor() int {
-	spreadChips := e.scn.JitterChips
+// delaySpreadChips bounds the widest relative tag delay, in chips, that the
+// scenario's jitter, fixed extra delays and fault-layer clock errors can
+// produce. It is NaN or infinite when any of them is.
+func (e *Engine) delaySpreadChips() float64 {
+	spreadChips := math.Abs(e.scn.JitterChips)
 	var lo, hi float64
 	for i, d := range e.scn.ExtraDelayChips {
 		if i < e.scn.NumTags {
@@ -200,6 +201,25 @@ func (e *Engine) mixSpanFor() int {
 		p := e.inj.Profile()
 		spreadChips += p.ClockDriftChips + p.ExtraJitterChips
 	}
+	return spreadChips
+}
+
+// checkDelaySpread returns ErrDelaySpread unless spreadChips is at most one
+// frame (a NaN spread fails too).
+func (e *Engine) checkDelaySpread(spreadChips float64) error {
+	limit := e.frameSamples / e.scn.SamplesPerChip()
+	if !(spreadChips <= float64(limit)) {
+		return fmt.Errorf("%w: %g chips, limit %d", ErrDelaySpread, spreadChips, limit)
+	}
+	return nil
+}
+
+// mixSpanFor bounds the mixing-buffer length of any round: the noise lead,
+// the delay spread (see delaySpreadChips), one frame, and the noise tail.
+// Arenas size a fresh mixing buffer to it, so jitter never regrows the
+// buffer mid-run. (A replayed trace can exceed it, by at most one frame;
+// mixFor then grows, which is correct, just not free.)
+func (e *Engine) mixSpanFor(spreadChips float64) int {
 	spc := e.scn.SamplesPerChip()
 	tail := 2 * e.set.ChipLength() * spc
 	return e.leadSamples + int(math.Ceil(spreadChips*float64(spc))) + 1 + e.frameSamples + tail

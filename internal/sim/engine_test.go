@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cbma/internal/fault"
 	"cbma/internal/frame"
 	"cbma/internal/geom"
 	"cbma/internal/pn"
@@ -51,6 +52,40 @@ func TestScenarioValidation(t *testing.T) {
 			}
 			if tc.want != nil && !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestNewEngineRejectsDelaySpread pins the bound on tag delays: the mixing
+// buffer grows linearly with their relative spread, so NewEngine refuses a
+// spread longer than one frame, or a non-finite one, before any round can
+// size a buffer by it. The Fig. 11 range stays accepted.
+func TestNewEngineRejectsDelaySpread(t *testing.T) {
+	tests := []struct {
+		name string
+		mod  func(*Scenario)
+		want error
+	}{
+		{"fig11 delays", func(s *Scenario) { s.ExtraDelayChips = []float64{0, 5} }, nil},
+		{"huge extra delay", func(s *Scenario) { s.ExtraDelayChips = []float64{0, 1e9} }, ErrDelaySpread},
+		{"huge advance", func(s *Scenario) { s.ExtraDelayChips = []float64{-1e9, 0} }, ErrDelaySpread},
+		{"infinite extra delay", func(s *Scenario) { s.ExtraDelayChips = []float64{0, math.Inf(1)} }, ErrDelaySpread},
+		{"NaN extra delay", func(s *Scenario) { s.ExtraDelayChips = []float64{math.NaN(), 0} }, ErrDelaySpread},
+		{"extra delay beyond tag count ignored", func(s *Scenario) { s.ExtraDelayChips = []float64{0, 1, 1e9} }, nil},
+		{"huge jitter", func(s *Scenario) { s.JitterChips = 1e9 }, ErrDelaySpread},
+		{"huge negative jitter", func(s *Scenario) { s.JitterChips = -1e9 }, ErrDelaySpread},
+		{"NaN jitter", func(s *Scenario) { s.JitterChips = math.NaN() }, ErrDelaySpread},
+		{"huge fault drift", func(s *Scenario) { s.Fault = &fault.Profile{ClockDriftChips: 1e9} }, ErrDelaySpread},
+		{"huge fault jitter", func(s *Scenario) { s.Fault = &fault.Profile{ExtraJitterChips: 1e9} }, ErrDelaySpread},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			scn := fastScenario()
+			tc.mod(&scn)
+			_, err := NewEngine(scn)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("NewEngine: got %v, want %v", err, tc.want)
 			}
 		})
 	}

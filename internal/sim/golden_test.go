@@ -55,7 +55,7 @@ func goldenShapes() []goldenShape {
 	ofdm.OFDMExcitation = true
 	ofdm.Seed = 4
 
-	mp := channel.DefaultMultipath()
+	mp := channel.Multipath{Taps: 3, TapSpacingSec: 50e-9, DecayDB: 6}
 	multipath := fastScenario()
 	multipath.NumTags = 3
 	multipath.Packets = 12

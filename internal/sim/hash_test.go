@@ -104,7 +104,7 @@ func TestScenarioHashSensitivity(t *testing.T) {
 			s.Interferers = []channel.Interferer{&channel.BluetoothInterferer{PowerDBm: -50}}
 		},
 		"extra-delay": func(s *Scenario) { s.ExtraDelayChips = []float64{0, 1} },
-		"multipath":   func(s *Scenario) { mp := channel.DefaultMultipath(); s.Multipath = &mp },
+		"multipath":   func(s *Scenario) { s.Multipath = &channel.Multipath{Taps: 3, TapSpacingSec: 50e-9, DecayDB: 6} },
 	}
 	seen := map[string]string{baseHash: "base"}
 	for name, mod := range mods {

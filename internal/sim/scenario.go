@@ -35,6 +35,11 @@ var (
 	ErrBadTagCount = errors.New("sim: tag count must be positive")
 	ErrBadPackets  = errors.New("sim: packet count must be positive")
 	ErrNoPositions = errors.New("sim: deployment has fewer tag positions than tags")
+	// ErrDelaySpread rejects tag delays (jitter, fixed extra delays, fault
+	// clock errors, or a replayed trace round) whose relative spread is
+	// non-finite or longer than one frame: the mixing buffer grows linearly
+	// with the spread, so an unbounded one would exhaust memory.
+	ErrDelaySpread = errors.New("sim: tag delay spread exceeds one frame")
 )
 
 // Scenario fully describes one experiment configuration. The zero value is

@@ -204,16 +204,21 @@ func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, a *roun
 	}
 	if replay != nil {
 		minDelay = math.Inf(1)
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, tg := range active {
 			s, ok := replay.Sample(tg.ID())
 			if !ok {
 				return tx, fmt.Errorf("sim: %w: tag %d absent in round %d",
 					trace.ErrTagCount, tg.ID(), replay.Seq)
 			}
+			lo, hi = min(lo, s.DelayChips), max(hi, s.DelayChips)
 			tx.delays[i] = s.DelayChips * float64(spc)
 			if tx.delays[i] < minDelay {
 				minDelay = tx.delays[i]
 			}
+		}
+		if err := e.checkDelaySpread(hi - lo); err != nil {
+			return tx, fmt.Errorf("%w (replayed round %d)", err, replay.Seq)
 		}
 	}
 	tx.minDelay = minDelay

@@ -149,3 +149,24 @@ func TestTraceReplayTagMismatch(t *testing.T) {
 		t.Fatalf("got %v, want ErrTagCount", err)
 	}
 }
+
+// TestTraceReplayRejectsDelaySpread replays a round whose recorded delays
+// spread over more than one frame: the engine must refuse it with
+// ErrDelaySpread rather than grow its mixing buffer to fit.
+func TestTraceReplayRejectsDelaySpread(t *testing.T) {
+	scn := fastScenario()
+	scn.Packets = 2
+	e, err := NewEngine(scn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameChips := e.frameSamples / scn.SamplesPerChip()
+	tr := &trace.Trace{Rounds: []trace.Round{{Seq: 0, Tags: []trace.TagSample{
+		{TagID: 0, GainRe: 1e-3},
+		{TagID: 1, GainRe: 1e-3, DelayChips: float64(2 * frameChips)},
+	}}}}
+	e.ReplayFrom(trace.NewPlayer(tr))
+	if _, err := e.Run(); !errors.Is(err, ErrDelaySpread) {
+		t.Fatalf("got %v, want ErrDelaySpread", err)
+	}
+}
