@@ -13,9 +13,9 @@
 //   - Scenario / NewEngine — waveform-level collision experiments.
 //   - SystemConfig / NewSystem — the full closed loop with Algorithm 1
 //     power control and §V-C node selection.
-//   - Sweep* / UserDetection / WorkingConditions / PowerDifferenceTable /
-//     DeploymentStudy — the exact experiment harnesses behind every table
-//     and figure in the paper's evaluation (see EXPERIMENTS.md).
+//   - Experiments — every table and figure of the paper's evaluation as a
+//     runnable value (see EXPERIMENTS.md); RunCampaign and FaultSweepPoints
+//     run custom sweeps.
 //   - TDMA / FSA / QAlgo / FDMA — the baseline MACs CBMA is compared
 //     against.
 //
@@ -48,9 +48,6 @@ type (
 	Engine = sim.Engine
 	// Metrics aggregates a run: FER, PRR, goodput, raw aggregate rate.
 	Metrics = sim.Metrics
-	// Series and Point carry sweep results (one curve per tag count etc.).
-	Series = sim.Series
-	Point  = sim.Point
 )
 
 // Radio, geometry and framing configuration.

@@ -1,6 +1,7 @@
 package cbma_test
 
 import (
+	"strings"
 	"testing"
 
 	"cbma"
@@ -105,35 +106,36 @@ func TestBaselinesPublic(t *testing.T) {
 }
 
 func TestExperimentFacades(t *testing.T) {
+	opts := cbma.ExperimentOptions{Seed: 1, Packets: 10, Groups: 2, Trials: 10, PayloadBytes: 8}
+	ran := 0
+	for _, e := range cbma.Experiments() {
+		switch e.ID {
+		case "fig12", "userdetect", "fig10":
+		default:
+			continue
+		}
+		var out strings.Builder
+		if err := e.Run(&out, opts); err != nil {
+			t.Errorf("%s: %v", e.ID, err)
+		}
+		if out.Len() == 0 {
+			t.Errorf("%s printed nothing", e.ID)
+		}
+		ran++
+	}
+	if ran != 3 {
+		t.Errorf("ran %d of fig12, userdetect and fig10", ran)
+	}
+
 	scn := fastScenario()
 	scn.Packets = 10
-	if _, err := cbma.SweepDistance(scn, []float64{1}, []int{2}); err != nil {
-		t.Error(err)
-	}
-	if _, err := cbma.SweepCodes(scn, []int{2}); err != nil {
-		t.Error(err)
-	}
-	if _, err := cbma.WorkingConditions(scn); err != nil {
-		t.Error(err)
-	}
-	res, err := cbma.UserDetection(scn, 4, 10)
+	rates := []float64{0, 0.5}
+	pts := cbma.FaultSweepPoints(scn, rates, func(p *cbma.FaultProfile, r float64) { p.AckLossProb = r })
+	ms, err := cbma.RunCampaign(pts, cbma.CampaignOpts{What: "ack loss"})
 	if err != nil {
-		t.Error(err)
+		t.Fatal(err)
 	}
-	if res.Trials != 10 {
-		t.Errorf("trials %d", res.Trials)
-	}
-	if _, err := cbma.PowerDifferenceTable(scn, 2); err != nil {
-		t.Error(err)
-	}
-	if _, err := cbma.SweepAsync(scn, []float64{0}); err != nil {
-		t.Error(err)
-	}
-	none, pc, pcns, err := cbma.DeploymentStudy(scn, 2)
-	if err != nil {
-		t.Error(err)
-	}
-	if len(none) != 2 || len(pc) != 2 || len(pcns) != 2 {
-		t.Errorf("study samples %d/%d/%d", len(none), len(pc), len(pcns))
+	if len(ms) != len(rates) || pts[0].Seed != pts[1].Seed {
+		t.Errorf("fault sweep: %d points, seeds %d/%d", len(ms), pts[0].Seed, pts[1].Seed)
 	}
 }

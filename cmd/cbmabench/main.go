@@ -57,14 +57,19 @@ func run(args []string, now func() time.Time) error {
 		opts = paperbench.Quick()
 	}
 	opts.Seed = *seed
-	if *packets > 0 {
-		opts.Packets = *packets
-	}
-	if *groups > 0 {
-		opts.Groups = *groups
-	}
-	if *trials > 0 {
-		opts.Trials = *trials
+	// Zero keeps the scale default; a negative count is an error rather
+	// than a silent fallback.
+	for _, c := range []struct {
+		flag string
+		v    int
+		dst  *int
+	}{{"packets", *packets, &opts.Packets}, {"groups", *groups, &opts.Groups}, {"trials", *trials, &opts.Trials}} {
+		if c.v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %d", c.flag, c.v)
+		}
+		if c.v > 0 {
+			*c.dst = c.v
+		}
 	}
 
 	// Telemetry composition root: the injected clock (main passes time.Now)

@@ -277,6 +277,11 @@ func TestDaemonRejectsBadSubmissions(t *testing.T) {
 			s.NumTags = 1 << 30 // validation would place a position per tag
 			return s
 		}()), http.StatusBadRequest},
+		{"delay spread beyond one frame", scenarioJSON(t, func() sim.Scenario {
+			s := quickScenario(1)
+			s.ExtraDelayChips = []float64{0, 1e9} // NewEngine would refuse it after a 202
+			return s
+		}()), http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(d.ts.URL+"/v1/campaigns", "application/json", strings.NewReader(tc.body))

@@ -26,7 +26,6 @@ import (
 	"cbma/internal/obs"
 	"cbma/internal/pn"
 	"cbma/internal/serve/shard"
-	"cbma/internal/sim"
 )
 
 func main() {
@@ -303,11 +302,11 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
+		run := cbma.RunCampaignContext
 		if coord != nil {
-			err = runFaultSweepSharded(ctx, scn, *faultSweep, rates, coord)
-		} else {
-			err = runFaultSweep(ctx, scn, *faultSweep, rates)
+			run = coord.Run
 		}
+		err = runFaultSweep(ctx, scn, *faultSweep, rates, run)
 		interrupted := err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err())
 		if oerr := finishObs(nil, interrupted); err == nil {
 			err = oerr
@@ -420,60 +419,32 @@ func run(ctx context.Context, args []string) error {
 	return finishObs(m, false)
 }
 
-// runFaultSweep runs the BER-vs-fault-rate curve for one knob and prints it
+// runFaultSweep runs the error-rate-versus-fault-rate curve for one knob
+// through run — in-process or the sharded coordinator; both execute the
+// same cbma.FaultSweepPoints, so the curve is bit-identical — and prints it
 // as a table. An interrupt flushes the points finished so far. A partial
 // failure (*cbma.CampaignError) still prints the healthy points' rows —
 // failed points are marked in the table, every per-point error is listed,
 // and the error propagates so the process exits non-zero instead of
 // presenting a silently incomplete curve as a complete one.
-func runFaultSweep(ctx context.Context, base cbma.Scenario, knob string, rates []float64) error {
+func runFaultSweep(ctx context.Context, base cbma.Scenario, knob string, rates []float64,
+	run func(context.Context, []cbma.Scenario, cbma.CampaignOpts) ([]cbma.Metrics, error)) error {
 	var (
-		series cbma.Series
-		err    error
+		name string
+		mod  func(*cbma.FaultProfile, float64)
 	)
 	switch knob {
 	case "ack-loss":
-		series, err = cbma.FaultSweepAckLoss(ctx, base, rates)
+		// ACK loss only bites through the Algorithm 1 feedback loop, so the
+		// curve is flat without -power-control.
+		name, mod = "ack loss", func(p *cbma.FaultProfile, r float64) { p.AckLossProb = r }
 	case "outage":
-		series, err = cbma.FaultSweepEnergyOutage(ctx, base, rates)
+		name, mod = "energy outage", func(p *cbma.FaultProfile, r float64) { p.EnergyOutageProb = r }
 	default:
 		return fmt.Errorf("unknown fault-sweep knob %q (want ack-loss or outage)", knob)
 	}
-	return printFaultSweep(ctx, base, rates, series, err)
-}
-
-// sweepMod resolves a -fault-sweep knob to the sweep's name and profile
-// modifier — the same pairs the in-process FaultSweep* wrappers use, so
-// both execution paths build identical campaign points.
-func sweepMod(knob string) (string, func(*cbma.FaultProfile, float64), error) {
-	switch knob {
-	case "ack-loss":
-		return "ack loss", func(p *cbma.FaultProfile, r float64) { p.AckLossProb = r }, nil
-	case "outage":
-		return "energy outage", func(p *cbma.FaultProfile, r float64) { p.EnergyOutageProb = r }, nil
-	default:
-		return "", nil, fmt.Errorf("unknown fault-sweep knob %q (want ack-loss or outage)", knob)
-	}
-}
-
-// runFaultSweepSharded is runFaultSweep through the sharded coordinator:
-// the sweep's points are built by the same sim.FaultSweepPoints the
-// in-process path uses, so the resulting curve is bit-identical — only
-// the execution substrate (worker processes, journal, retries) differs.
-func runFaultSweepSharded(ctx context.Context, base cbma.Scenario, knob string, rates []float64, coord *shard.Coordinator) error {
-	name, mod, err := sweepMod(knob)
-	if err != nil {
-		return err
-	}
-	points := sim.FaultSweepPoints(base, rates, mod)
-	ms, err := coord.Run(ctx, points, cbma.CampaignOpts{What: fmt.Sprintf("fault sweep: %s", name)})
-	return printFaultSweep(ctx, base, rates, sim.FaultSweepSeries(name, rates, ms), err)
-}
-
-// printFaultSweep renders a sweep's curve and classifies its error:
-// interrupts flush the finished prefix, partial campaign failures mark
-// their rows and list every per-point error, anything else propagates.
-func printFaultSweep(ctx context.Context, base cbma.Scenario, rates []float64, series cbma.Series, err error) error {
+	points := cbma.FaultSweepPoints(base, rates, mod)
+	ms, err := run(ctx, points, cbma.CampaignOpts{What: "fault sweep: " + name})
 	interrupted := err != nil && ctx.Err() != nil && errors.Is(err, ctx.Err())
 	var cerr *cbma.CampaignError
 	partial := errors.As(err, &cerr)
@@ -486,17 +457,16 @@ func printFaultSweep(ctx context.Context, base cbma.Scenario, rates []float64, s
 			failed[pe.Point] = true
 		}
 	}
-	fmt.Printf("fault sweep: %s (tags=%d packets=%d)\n", series.Name, base.NumTags, base.Packets)
+	fmt.Printf("fault sweep: %s (tags=%d packets=%d)\n", name, base.NumTags, base.Packets)
 	if h, herr := base.Hash(); herr == nil {
 		fmt.Printf("  base scenario hash %s\n", h)
 	}
 	fmt.Printf("  %-8s %-8s %-14s %s\n", "rate", "FER", "sent/delivered", "degradation")
-	for i, pt := range series.Points {
+	for i, m := range ms {
 		if failed[i] {
-			fmt.Printf("  %-8.3f %-8s %-14s %s\n", pt.X, "-", "-", "FAILED (see below)")
+			fmt.Printf("  %-8.3f %-8s %-14s %s\n", rates[i], "-", "-", "FAILED (see below)")
 			continue
 		}
-		m := pt.Metrics
 		degr := "-"
 		switch {
 		case m.RoundsQuarantined > 0 || m.RoundRetries > 0:
@@ -505,7 +475,7 @@ func printFaultSweep(ctx context.Context, base cbma.Scenario, rates []float64, s
 			degr = m.Faults.String()
 		}
 		fmt.Printf("  %-8.3f %-8.4f %-14s %s\n",
-			pt.X, m.FER, fmt.Sprintf("%d/%d", m.FramesSent, m.FramesDelivered), degr)
+			rates[i], m.FER, fmt.Sprintf("%d/%d", m.FramesSent, m.FramesDelivered), degr)
 	}
 	if interrupted {
 		fmt.Println("  interrupted — points above cover the sweep finished before SIGINT")

@@ -23,20 +23,23 @@ func main() {
 }
 
 func run() error {
+	// Fig. 12 is one entry of the paper's experiment registry; Groups and
+	// Trials size other experiments and only need to be positive here.
+	opts := cbma.ExperimentOptions{Seed: 1, Packets: 150, Groups: 1, Trials: 1, PayloadBytes: 16}
+	for _, e := range cbma.Experiments() {
+		if e.ID != "fig12" {
+			continue
+		}
+		fmt.Println("Coexistence study — correct packet reception rate (Fig. 12)")
+		if err := e.Run(os.Stdout, opts); err != nil {
+			return err
+		}
+	}
+
 	scn := cbma.DefaultScenario()
 	scn.NumTags = 3
 	scn.PayloadBytes = 16
 	scn.Packets = 150
-
-	pts, err := cbma.WorkingConditions(scn)
-	if err != nil {
-		return err
-	}
-	fmt.Println("Coexistence study — correct packet reception rate (Fig. 12)")
-	for _, p := range pts {
-		fmt.Printf("  %-24s PRR %.3f\n", p.Label, p.Metrics.PRR)
-	}
-
 	// The same knobs are available directly for custom scenarios:
 	custom := scn
 	custom.Interferers = []cbma.Interferer{

@@ -3,8 +3,8 @@ package cbma
 import (
 	"context"
 
-	"cbma/internal/core"
 	"cbma/internal/fault"
+	"cbma/internal/paperbench"
 	"cbma/internal/sim"
 )
 
@@ -20,20 +20,6 @@ type (
 	// alongside the surviving points' metrics.
 	PointError    = sim.PointError
 	CampaignError = sim.CampaignError
-)
-
-// UserDetectionResult summarizes the §VII-B2 user-detection experiment.
-type UserDetectionResult = sim.UserDetectionResult
-
-// PowerDiffRow is one row of Table II.
-type PowerDiffRow = sim.PowerDiffRow
-
-// Experiment condition labels for WorkingConditions (Fig. 12).
-const (
-	CondClean     = sim.CondClean
-	CondWiFi      = sim.CondWiFi
-	CondBluetooth = sim.CondBluetooth
-	CondOFDM      = sim.CondOFDM
 )
 
 // CampaignOpts configures RunCampaign.
@@ -65,83 +51,23 @@ func DeriveSeed(seed int64, labels ...uint64) int64 {
 	return sim.DeriveSeed(seed, labels...)
 }
 
-// SweepDistance reproduces Fig. 8(a): FER versus tag-to-RX distance.
-func SweepDistance(base Scenario, distances []float64, tagCounts []int) ([]Series, error) {
-	return sim.SweepDistance(base, distances, tagCounts)
+// FaultSweepPoints builds the campaign points of a fault sweep: one point
+// per rate, mod setting one knob of the fault profile, every point under
+// the same derived seed (common random numbers) so the degradation curve is
+// smooth and monotone at modest packet counts. Run them with RunCampaign.
+func FaultSweepPoints(base Scenario, rates []float64, mod func(*FaultProfile, float64)) []Scenario {
+	return sim.FaultSweepPoints(base, rates, mod)
 }
 
-// SweepTxPower reproduces Fig. 8(b): FER versus excitation transmit power.
-func SweepTxPower(base Scenario, powersDBm []float64, tagCounts []int) ([]Series, error) {
-	return sim.SweepTxPower(base, powersDBm, tagCounts)
-}
+// Experiment is one table or figure of the paper's evaluation (plus the
+// DESIGN.md ablations): Run executes it and prints the table, and Points,
+// where set, exposes its campaign.
+type Experiment = paperbench.Experiment
 
-// SweepPreamble reproduces Fig. 8(c): FER versus preamble length.
-func SweepPreamble(base Scenario, preambleBits []int, tagCounts []int) ([]Series, error) {
-	return sim.SweepPreamble(base, preambleBits, tagCounts)
-}
+// ExperimentOptions scales the experiments' workloads; every count must be
+// positive.
+type ExperimentOptions = paperbench.Options
 
-// SweepBitrate reproduces Fig. 9(a): FER versus on-air bit rate.
-func SweepBitrate(base Scenario, ratesHz []float64, tagCounts []int) ([]Series, error) {
-	return sim.SweepBitrate(base, ratesHz, tagCounts)
-}
-
-// SweepCodes reproduces Fig. 9(b): Gold versus 2NC error rates by tag count.
-func SweepCodes(base Scenario, tagCounts []int) ([]Series, error) {
-	return sim.SweepCodes(base, tagCounts)
-}
-
-// SweepPowerControl reproduces Fig. 9(c): error rate with and without the
-// Algorithm 1 loop over random placements.
-func SweepPowerControl(base Scenario, tagCounts []int, groups int) ([]Series, error) {
-	return sim.SweepPowerControl(base, tagCounts, groups)
-}
-
-// UserDetection reproduces the §VII-B2 experiment (10-tag group, random
-// active subsets; paper reports 99.9% accuracy).
-func UserDetection(base Scenario, groupSize, trials int) (UserDetectionResult, error) {
-	return sim.UserDetection(base, groupSize, trials)
-}
-
-// SweepAsync reproduces Fig. 11: error rate versus tag-2 clock delay.
-func SweepAsync(base Scenario, delaysChips []float64) (Series, error) {
-	return sim.SweepAsync(base, delaysChips)
-}
-
-// WorkingConditions reproduces Fig. 12: packet reception rate under clean,
-// WiFi-interference, Bluetooth-interference and OFDM-excitation conditions.
-func WorkingConditions(base Scenario) ([]Point, error) {
-	return sim.WorkingConditions(base)
-}
-
-// PowerDifferenceTable reproduces Table II: two-tag collisions relating
-// received-power difference to error rate.
-func PowerDifferenceTable(base Scenario, pairs int) ([]PowerDiffRow, error) {
-	return sim.PowerDifferenceTable(base, pairs)
-}
-
-// DeploymentStudy reproduces Fig. 10: per-group FER samples under no
-// control, power control, and power control plus node selection, for CDF
-// plotting.
-func DeploymentStudy(base Scenario, groups int) (none, pc, pcns []float64, err error) {
-	return core.DeploymentStudy(base, groups)
-}
-
-// FaultSweep measures error rate versus fault intensity: mod sets one knob
-// of the fault profile per rate, and every point runs under the same
-// derived seed (common random numbers) so the degradation curve is smooth
-// and monotone at modest packet counts.
-func FaultSweep(ctx context.Context, base Scenario, name string, rates []float64, mod func(*FaultProfile, float64)) (Series, error) {
-	return sim.FaultSweep(ctx, base, name, rates, mod)
-}
-
-// FaultSweepAckLoss sweeps the feedback ACK-loss probability — error rate
-// versus downlink loss rate through the Algorithm 1 feedback loop.
-func FaultSweepAckLoss(ctx context.Context, base Scenario, rates []float64) (Series, error) {
-	return sim.FaultSweepAckLoss(ctx, base, rates)
-}
-
-// FaultSweepEnergyOutage sweeps the per-tag mid-frame energy-outage
-// probability.
-func FaultSweepEnergyOutage(ctx context.Context, base Scenario, rates []float64) (Series, error) {
-	return sim.FaultSweepEnergyOutage(ctx, base, rates)
-}
+// Experiments returns the paper's experiments in presentation order, the
+// registry cbmabench runs.
+func Experiments() []Experiment { return paperbench.All() }

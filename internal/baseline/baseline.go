@@ -19,8 +19,8 @@ import (
 var ErrBadConfig = errors.New("baseline: invalid configuration")
 
 // Labels for sim.DeriveSeed: the packet-level baselines' slot lotteries.
-// Kept clear of internal/sim's sweep labels (1–11), internal/core's
-// (201–203) and internal/paperbench's (300s).
+// Kept clear of internal/paperbench's figure labels (1–11, 201–202, 301),
+// internal/sim's fault sweeps (12) and internal/core's (203).
 const (
 	seedFSA   uint64 = 210
 	seedFDMA  uint64 = 211

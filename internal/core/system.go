@@ -20,14 +20,10 @@ import (
 // ErrBadConfig reports invalid system configuration.
 var ErrBadConfig = errors.New("core: invalid configuration")
 
-// Labels for sim.DeriveSeed: the deployment study's placement stream and
-// per-group scenario seeds. Kept clear of internal/sim's sweep labels
-// (1–11) and internal/paperbench's (300s).
-const (
-	seedDeploymentPlacement uint64 = 201
-	seedDeploymentGroup     uint64 = 202
-	seedNodeSelection       uint64 = 203
-)
+// seedNodeSelection labels the node selector's stream for sim.DeriveSeed.
+// Kept clear of internal/paperbench's figure labels (1–11, 201–202, 301),
+// internal/sim's fault sweeps (12) and internal/baseline's (210–212).
+const seedNodeSelection uint64 = 203
 
 // Config describes a CBMA deployment run.
 type Config struct {
@@ -207,68 +203,4 @@ func (s *System) positions() []geom.Point {
 		out[i] = tg.Position()
 	}
 	return out
-}
-
-// DeploymentStudy runs the Fig. 10 experiment: `groups` random placements,
-// each measured under three configurations — no control, power control, and
-// power control plus node selection — returning the per-group FER samples
-// for CDF plotting.
-func DeploymentStudy(base sim.Scenario, groups int) (none, pc, pcns []float64, err error) {
-	if groups <= 0 {
-		return nil, nil, nil, fmt.Errorf("%w: groups must be positive", ErrBadConfig)
-	}
-	rng := rand.New(rand.NewSource(sim.DeriveSeed(base.Seed, seedDeploymentPlacement)))
-	minSep := geom.Wavelength(2e9) / 2
-	// Deterministic placement draws up front, then independent groups run
-	// in parallel (see sim.RunParallel).
-	scns := make([]sim.Scenario, groups)
-	for g := 0; g < groups; g++ {
-		scn := base
-		scn.Deployment = geom.NewDeployment(0.5)
-		// Table-sized placement region; see sim.randomPlacementScenario.
-		scn.Deployment.Room = geom.Room{Width: 2.4, Height: 1.6}
-		if err := scn.Deployment.PlaceTagsRandom(rng, scn.NumTags, minSep); err != nil {
-			return nil, nil, nil, err
-		}
-		scn.Seed = sim.DeriveSeed(base.Seed, seedDeploymentGroup, uint64(g))
-		scn.RandomInitialImpedance = true
-		scns[g] = scn
-	}
-	none = make([]float64, groups)
-	pc = make([]float64, groups)
-	pcns = make([]float64, groups)
-	runOne := func(scn sim.Scenario, nodeSelection bool) (float64, error) {
-		sys, err := New(Config{Scenario: scn, NodeSelection: nodeSelection})
-		if err != nil {
-			return 0, err
-		}
-		rep, err := sys.Run()
-		if err != nil {
-			return 0, err
-		}
-		return rep.Final.FER, nil
-	}
-	err = sim.RunParallel(groups, func(g int) error {
-		scn := scns[g]
-		scn.PowerControl = false
-		v, err := runOne(scn, false)
-		if err != nil {
-			return err
-		}
-		none[g] = v
-		scn.PowerControl = true
-		if v, err = runOne(scn, false); err != nil {
-			return err
-		}
-		pc[g] = v
-		if v, err = runOne(scn, true); err != nil {
-			return err
-		}
-		pcns[g] = v
-		return nil
-	})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return none, pc, pcns, nil
 }

@@ -120,36 +120,6 @@ func TestRunSelectionStopsWhenAllGood(t *testing.T) {
 	}
 }
 
-func TestDeploymentStudyShapes(t *testing.T) {
-	scn := testScenario()
-	scn.NumTags = 3
-	scn.Packets = 16
-	groups := 4
-	if testing.Short() {
-		groups = 2
-	}
-	none, pc, pcns, err := DeploymentStudy(scn, groups)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != groups || len(pc) != groups || len(pcns) != groups {
-		t.Fatalf("sample counts %d/%d/%d", len(none), len(pc), len(pcns))
-	}
-	for i := range none {
-		for _, v := range []float64{none[i], pc[i], pcns[i]} {
-			if v < 0 || v > 1 {
-				t.Errorf("group %d FER %v out of range", i, v)
-			}
-		}
-	}
-}
-
-func TestDeploymentStudyValidation(t *testing.T) {
-	if _, _, _, err := DeploymentStudy(testScenario(), 0); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("got %v, want ErrBadConfig", err)
-	}
-}
-
 func TestEngineAccessor(t *testing.T) {
 	sys, err := New(Config{Scenario: testScenario()})
 	if err != nil {

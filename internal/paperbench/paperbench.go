@@ -1,21 +1,24 @@
 // Package paperbench defines one runnable experiment per table and figure
-// of the paper's evaluation (plus the DESIGN.md ablations), each printing
-// the same rows/series the paper reports. cmd/cbmabench and the repository
-// bench harness both dispatch through this registry so they emit identical
-// output.
+// of the paper's evaluation (plus the DESIGN.md ablations). An experiment is
+// a value: a pure point builder and a fold. Run executes the points as one
+// sim.RunCampaign and folds the metrics into the same rows or series the
+// paper reports. cmd/cbmabench, the repository bench harness and the cbma
+// facade all dispatch through this registry, so they emit identical output.
 package paperbench
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
-	"cbma/internal/baseline"
-	"cbma/internal/core"
 	"cbma/internal/obs"
-	"cbma/internal/pn"
-	"cbma/internal/report"
 	"cbma/internal/sim"
 )
+
+// ErrBadOptions reports an option set that cannot size an experiment: a
+// non-positive packet, group, trial or payload count would print NaN
+// tables instead of failing.
+var ErrBadOptions = errors.New("paperbench: invalid options")
 
 // Options scales the experiment workloads. DefaultOptions is the
 // full-fidelity configuration used for EXPERIMENTS.md; Quick returns a
@@ -48,10 +51,21 @@ func Quick() Options {
 	return Options{Seed: 1, Packets: 30, Groups: 4, Trials: 60, PayloadBytes: 8}
 }
 
-// seedAblationSelect labels this package's per-group seed derivation in
-// sim.DeriveSeed's label space. Kept clear of internal/sim's sweep labels
-// (1–11) and internal/core's deployment labels (200s).
-const seedAblationSelect uint64 = 301
+// validate rejects the counts no experiment can run with.
+func (o Options) validate() error {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{
+		{"packets", o.Packets}, {"groups", o.Groups},
+		{"trials", o.Trials}, {"payload bytes", o.PayloadBytes},
+	} {
+		if c.v <= 0 {
+			return fmt.Errorf("%w: %s must be positive, got %d", ErrBadOptions, c.name, c.v)
+		}
+	}
+	return nil
+}
 
 // BaseScenario exposes the canonical scenario an option set implies — the
 // identity experiments start from before per-figure modifications. cbmabench
@@ -69,38 +83,102 @@ func (o Options) base() sim.Scenario {
 	return scn
 }
 
+// fold writes an experiment's table from its campaign: the points and their
+// metrics, indexed alike.
+type fold func(w io.Writer, pts []sim.Scenario, ms []sim.Metrics) error
+
 // Experiment is one registry entry.
 type Experiment struct {
 	// ID is the CLI name (e.g. "fig8a"); Title describes the paper
 	// artifact it regenerates.
 	ID, Title string
-	// Run executes the experiment and writes its table to w.
-	Run func(w io.Writer, o Options) error
+	// Points builds the experiment's campaign, a pure function of the
+	// options. It is nil for the few experiments that are not a flat point
+	// list; those run their own loop.
+	Points func(Options) ([]sim.Scenario, error)
+	// print folds the campaign's metrics into the printed table.
+	print fold
+	// run replaces Points and print where Points is nil.
+	run func(w io.Writer, o Options) error
+}
+
+// Run executes the experiment and writes its table to w: the points run as
+// one campaign labelled with the experiment's ID, and the fold prints them.
+func (e Experiment) Run(w io.Writer, o Options) error {
+	if err := o.validate(); err != nil {
+		return err
+	}
+	if e.run != nil {
+		return e.run(w, o)
+	}
+	pts, err := e.Points(o)
+	if err != nil {
+		return err
+	}
+	ms, err := sim.RunCampaign(pts, sim.CampaignOpts{What: e.ID})
+	if err != nil {
+		return err
+	}
+	return e.print(w, pts, ms)
 }
 
 // All returns the registry in presentation order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table I — summary of existing backscatter systems", Table1},
-		{"table2", "Table II — error rate vs power difference between tags", Table2},
-		{"fig5", "Fig. 5 — theoretical backscatter signal strength field", Fig5},
-		{"fig8a", "Fig. 8(a) — frame detection error vs distance", Fig8a},
-		{"fig8b", "Fig. 8(b) — frame detection error vs ES transmit power", Fig8b},
-		{"fig8c", "Fig. 8(c) — frame detection error vs preamble length", Fig8c},
-		{"fig9a", "Fig. 9(a) — error rate vs bitrate", Fig9a},
-		{"fig9b", "Fig. 9(b) — error rate, Gold vs 2NC codes", Fig9b},
-		{"fig9c", "Fig. 9(c) — error rate with/without power control", Fig9c},
-		{"userdetect", "§VII-B2 — user detection accuracy (10 tags)", UserDetect},
-		{"fig10", "Fig. 10 — CDFs of error rate (5 tags, macro deployment)", Fig10},
-		{"fig11", "Fig. 11 — error rate under tag asynchrony", Fig11},
-		{"fig12", "Fig. 12 — packet reception under working conditions", Fig12},
-		{"headline", "Headline — 10-tag aggregate rate and gain vs TDMA", Headline},
-		{"ablation-detector", "Ablation — plain correlation receiver vs SIC", AblationDetector},
-		{"ablation-impedance", "Ablation — impedance ladder granularity", AblationImpedance},
-		{"ablation-codes", "Ablation — Walsh (sync-CDMA bound) vs Gold vs 2NC", AblationCodes},
-		{"ablation-select", "Ablation — greedy vs annealing node selection", AblationSelect},
-		{"ext-cfo", "Extension — tag oscillator CFO vs phase tracking", ExtCFO},
-		{"ext-ackloss", "Extension — power control under ACK downlink loss", ExtAckLoss},
+		{ID: "table1", Title: "Table I — summary of existing backscatter systems",
+			Points: tenTagPoints, print: printTable1},
+		{ID: "table2", Title: "Table II — error rate vs power difference between tags",
+			Points: powerDiffPoints, print: printPowerDiff},
+		// Fig. 5 is the closed-form Friis field: no simulation at all.
+		{ID: "fig5", Title: "Fig. 5 — theoretical backscatter signal strength field",
+			run: runFig5},
+		gridExperiment("fig8a", "Fig. 8(a) — frame detection error vs distance",
+			seedSweepDistance, "distance(m)", []float64{0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0},
+			func(s *sim.Scenario, d float64) { s.TagLineDistance = d }),
+		gridExperiment("fig8b", "Fig. 8(b) — frame detection error vs ES transmit power",
+			seedSweepTxPower, "ES power(dBm)", []float64{-5, 0, 5, 10, 15, 20},
+			func(s *sim.Scenario, p float64) {
+				s.TagLineDistance = 2.5 // power matters where links are marginal
+				s.Channel.TxPowerDBm = p
+			}),
+		gridExperiment("fig8c", "Fig. 8(c) — frame detection error vs preamble length",
+			seedSweepPreamble, "preamble(bits)", []float64{4, 8, 16, 32, 64},
+			func(s *sim.Scenario, bits float64) {
+				s.TagLineDistance = 3.0
+				s.Frame.PreambleBits = int(bits)
+			}),
+		gridExperiment("fig9a", "Fig. 9(a) — error rate vs bitrate",
+			seedSweepBitrate, "bitrate(bps)", []float64{250e3, 500e3, 1e6, 2.5e6, 5e6, 10e6, 20e6},
+			func(s *sim.Scenario, r float64) { s.ChipRateHz = r }),
+		{ID: "fig9b", Title: "Fig. 9(b) — error rate, Gold vs 2NC codes",
+			Points: familyPoints, print: familyTable},
+		{ID: "fig9c", Title: "Fig. 9(c) — error rate with/without power control",
+			Points: fig9cPoints, print: printPowerControl},
+		// User detection's trials share one engine (sim.UserDetection).
+		{ID: "userdetect", Title: "§VII-B2 — user detection accuracy (10 tags)",
+			run: runUserDetect},
+		// Fig. 10's node-selection arm re-places tags in the core.System loop.
+		{ID: "fig10", Title: "Fig. 10 — CDFs of error rate (5 tags, macro deployment)",
+			run: runFig10},
+		{ID: "fig11", Title: "Fig. 11 — error rate under tag asynchrony",
+			Points: asyncPoints, print: asyncTable},
+		{ID: "fig12", Title: "Fig. 12 — packet reception under working conditions",
+			Points: conditionPoints, print: printConditions},
+		{ID: "headline", Title: "Headline — 10-tag aggregate rate and gain vs TDMA",
+			Points: tenTagPoints, print: printHeadline},
+		{ID: "ablation-detector", Title: "Ablation — plain correlation receiver vs SIC",
+			Points: detectorPoints, print: printDetector},
+		{ID: "ablation-impedance", Title: "Ablation — impedance ladder granularity",
+			Points: impedancePoints, print: printImpedance},
+		{ID: "ablation-codes", Title: "Ablation — Walsh (sync-CDMA bound) vs Gold vs 2NC",
+			Points: codeAblationPoints, print: printCodeAblation},
+		// Node selection runs the core.System loop per group.
+		{ID: "ablation-select", Title: "Ablation — greedy vs annealing node selection",
+			run: runAblationSelect},
+		{ID: "ext-cfo", Title: "Extension — tag oscillator CFO vs phase tracking",
+			Points: cfoPoints, print: printCFO},
+		{ID: "ext-ackloss", Title: "Extension — power control under ACK downlink loss",
+			Points: ackLossPoints, print: printAckLoss},
 	}
 }
 
@@ -112,354 +190,4 @@ func Find(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// Table1 prints the existing-systems summary plus the locally measured
-// CBMA row.
-func Table1(w io.Writer, o Options) error {
-	scn := o.base()
-	scn.NumTags = 10
-	scn.Family = pn.Family2NC
-	ms, err := sim.RunCampaign([]sim.Scenario{scn}, sim.CampaignOpts{What: "table1"})
-	if err != nil {
-		return err
-	}
-	rows := append(baseline.Table1(), baseline.CBMARow(ms[0].RawAggregateBps, 10, 5))
-	fmt.Fprintf(w, "%-22s %12s %8s %10s\n", "technology", "data rate", "tags", "range(m)")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-22s %12s %8d %10.4g\n",
-			r.Technology, baseline.FormatRate(r.DataRateBps), r.Tags, r.RangeMeters)
-	}
-	return nil
-}
-
-// Table2 prints two-tag power-difference cases.
-func Table2(w io.Writer, o Options) error {
-	rows, err := sim.PowerDifferenceTable(o.base(), 10)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.PowerDiffTable(rows))
-	return err
-}
-
-// Fig5 prints the Friis field heat map.
-func Fig5(w io.Writer, o Options) error {
-	scn := o.base()
-	field, err := scn.Channel.FriisField(scn.Deployment, 1, 60, 20)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.FieldHeatmap(field))
-	return err
-}
-
-var microTagCounts = []int{2, 3, 4}
-
-// Fig8a prints FER vs tag-to-RX distance.
-func Fig8a(w io.Writer, o Options) error {
-	distances := []float64{0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0}
-	series, err := sim.SweepDistance(o.base(), distances, microTagCounts)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("distance(m)", series, report.DetectionFER))
-	return err
-}
-
-// Fig8b prints FER vs excitation transmit power.
-func Fig8b(w io.Writer, o Options) error {
-	base := o.base()
-	base.TagLineDistance = 2.5 // power matters where links are marginal
-	powers := []float64{-5, 0, 5, 10, 15, 20}
-	series, err := sim.SweepTxPower(base, powers, microTagCounts)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("ES power(dBm)", series, report.DetectionFER))
-	return err
-}
-
-// Fig8c prints FER vs preamble length.
-func Fig8c(w io.Writer, o Options) error {
-	base := o.base()
-	base.TagLineDistance = 3.0
-	series, err := sim.SweepPreamble(base, []int{4, 8, 16, 32, 64}, microTagCounts)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("preamble(bits)", series, report.DetectionFER))
-	return err
-}
-
-// Fig9a prints FER vs bitrate.
-func Fig9a(w io.Writer, o Options) error {
-	rates := []float64{250e3, 500e3, 1e6, 2.5e6, 5e6, 10e6, 20e6}
-	series, err := sim.SweepBitrate(o.base(), rates, microTagCounts)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("bitrate(bps)", series, report.DetectionFER))
-	return err
-}
-
-// Fig9b prints Gold vs 2NC error rates.
-func Fig9b(w io.Writer, o Options) error {
-	series, err := sim.SweepCodes(o.base(), []int{2, 3, 4, 5})
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("tags", series, report.FER))
-	return err
-}
-
-// Fig9c prints error rate with and without power control.
-func Fig9c(w io.Writer, o Options) error {
-	series, err := sim.SweepPowerControl(o.base(), []int{2, 3, 4, 5}, o.Groups)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("tags", series, report.FER))
-	return err
-}
-
-// UserDetect prints the 10-tag user-detection accuracy.
-func UserDetect(w io.Writer, o Options) error {
-	res, err := sim.UserDetection(o.base(), 10, o.Trials)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.UserDetection(res))
-	return err
-}
-
-// Fig10 prints the deployment-study CDF quantiles.
-func Fig10(w io.Writer, o Options) error {
-	base := o.base()
-	base.NumTags = 5
-	none, pc, pcns, err := core.DeploymentStudy(base, o.Groups)
-	if err != nil {
-		return err
-	}
-	out, err := report.CDFTable(
-		[]string{"no control", "power control", "power control + selection"},
-		[][]float64{none, pc, pcns})
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, out)
-	return err
-}
-
-// Fig11 prints error rate vs tag-2 delay.
-func Fig11(w io.Writer, o Options) error {
-	delays := []float64{0, 0.25, 0.5, 1, 1.5, 2, 3, 4, 5}
-	s, err := sim.SweepAsync(o.base(), delays)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.SeriesTable("delay(chips)", []sim.Series{s}, report.FER))
-	return err
-}
-
-// Fig12 prints packet reception under the four working conditions.
-func Fig12(w io.Writer, o Options) error {
-	base := o.base()
-	base.NumTags = 3
-	pts, err := sim.WorkingConditions(base)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.PointsTable(pts, report.PRR, "PRR"))
-	return err
-}
-
-// Headline prints the 10-tag aggregate rate and the gain over TDMA.
-func Headline(w io.Writer, o Options) error {
-	scn := o.base()
-	scn.NumTags = 10
-	scn.Family = pn.Family2NC
-	cb, err := baseline.CBMA(scn)
-	if err != nil {
-		return err
-	}
-	td, err := baseline.TDMA(scn, baseline.TDMAConfig{Rounds: scn.Packets})
-	if err != nil {
-		return err
-	}
-	ms, err := sim.RunCampaign([]sim.Scenario{scn}, sim.CampaignOpts{What: "headline"})
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, report.Headline(cb.GoodputBps, td.GoodputBps, ms[0].RawAggregateBps, 10))
-	return err
-}
-
-// AblationDetector compares the paper's plain correlation receiver against
-// the SIC-enhanced receiver at five concurrent tags (DESIGN.md ablation 1).
-// Both arms share the seed, so they decode the same collisions.
-func AblationDetector(w io.Writer, o Options) error {
-	points := make([]sim.Scenario, 2)
-	for v, sic := range []bool{false, true} {
-		scn := o.base()
-		scn.NumTags = 5
-		scn.SIC = sic
-		points[v] = scn
-	}
-	ms, err := sim.RunCampaign(points, sim.CampaignOpts{What: "detector ablation"})
-	if err != nil {
-		return err
-	}
-	for v, name := range []string{"plain correlation", "with SIC"} {
-		fmt.Fprintf(w, "%-20s FER %.4f  false frames %d\n", name, ms[v].FER, ms[v].FalseFrames)
-	}
-	return nil
-}
-
-// AblationImpedance sweeps the impedance-ladder granularity (ablation 2).
-func AblationImpedance(w io.Writer, o Options) error {
-	for _, states := range []int{2, 4, 8} {
-		series, err := sim.SweepPowerControl(scnWithStates(o, states), []int{4}, o.Groups/2+1)
-		if err != nil {
-			return err
-		}
-		var withPC, withoutPC float64
-		for _, s := range series {
-			if s.Name == "with power control" {
-				withPC = s.Points[0].Metrics.FER
-			} else {
-				withoutPC = s.Points[0].Metrics.FER
-			}
-		}
-		fmt.Fprintf(w, "%d impedance states: FER %.4f with PC, %.4f without\n",
-			states, withPC, withoutPC)
-	}
-	return nil
-}
-
-func scnWithStates(o Options, states int) sim.Scenario {
-	scn := o.base()
-	scn.ImpedanceStates = states
-	return scn
-}
-
-// AblationCodes adds the synchronous-CDMA upper bound (Walsh) to the
-// Fig. 9(b) comparison (ablation 4). The whole tags × family grid runs as
-// one campaign; every cell keeps the base seed so families are paired.
-func AblationCodes(w io.Writer, o Options) error {
-	tagCounts := []int{2, 3, 4, 5}
-	fams := []int{3 /*walsh*/, 1 /*gold*/, 2 /*2nc*/}
-	var points []sim.Scenario
-	for _, n := range tagCounts {
-		for _, fam := range fams {
-			scn := o.base()
-			scn.NumTags = n
-			scn.Family = famFromInt(fam)
-			points = append(points, scn)
-		}
-	}
-	ms, err := sim.RunCampaign(points, sim.CampaignOpts{What: "code ablation"})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%6s %10s %10s %10s\n", "tags", "walsh", "gold", "2nc")
-	k := 0
-	for _, n := range tagCounts {
-		fmt.Fprintf(w, "%6d", n)
-		for range fams {
-			fmt.Fprintf(w, " %10.4f", ms[k].FER)
-			k++
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// ExtCFO sweeps per-tag carrier-frequency offset with the receiver's
-// decision-directed phase tracking on and off — the oscillator-tolerance
-// question the paper's §VIII discussion raises and defers.
-func ExtCFO(w io.Writer, o Options) error {
-	ppms := []float64{0, 0.05, 0.1, 0.2, 0.5, 1.0}
-	var points []sim.Scenario
-	for _, ppm := range ppms {
-		for _, tracking := range []bool{false, true} {
-			scn := o.base()
-			scn.NumTags = 2
-			scn.CFOppm = ppm
-			scn.PhaseTracking = tracking
-			points = append(points, scn)
-		}
-	}
-	ms, err := sim.RunCampaign(points, sim.CampaignOpts{What: "cfo extension"})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%10s %14s %14s\n", "CFO (ppm)", "plain FER", "tracking FER")
-	for i, ppm := range ppms {
-		fmt.Fprintf(w, "%10.2f %14.4f %14.4f\n", ppm, ms[2*i].FER, ms[2*i+1].FER)
-	}
-	return nil
-}
-
-// ExtAckLoss sweeps ACK downlink loss and reports how often Algorithm 1
-// still converges — the control loop's robustness to an unreliable
-// feedback channel.
-func ExtAckLoss(w io.Writer, o Options) error {
-	losses := []float64{0, 0.25, 0.5, 0.9}
-	points := make([]sim.Scenario, len(losses))
-	for i, loss := range losses {
-		scn := o.base()
-		scn.NumTags = 3
-		scn.PowerControl = true
-		scn.RandomInitialImpedance = true
-		scn.AckLossProb = loss
-		points[i] = scn
-	}
-	ms, err := sim.RunCampaign(points, sim.CampaignOpts{What: "ack loss extension"})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%10s %12s %12s %14s\n", "ACK loss", "FER", "PC rounds", "converged")
-	for i, loss := range losses {
-		fmt.Fprintf(w, "%10.2f %12.4f %12d %14v\n",
-			loss, ms[i].FER, ms[i].PowerControlRounds, ms[i].PowerControlConverged)
-	}
-	return nil
-}
-
-// AblationSelect compares greedy against annealing node selection on bad
-// deployments (ablation 3).
-func AblationSelect(w io.Writer, o Options) error {
-	for _, greedy := range []bool{true, false} {
-		base := o.base()
-		base.NumTags = 5
-		base.PowerControl = true
-		base.RandomInitialImpedance = true
-		var sum float64
-		groups := o.Groups/2 + 1
-		for g := 0; g < groups; g++ {
-			scn := base
-			scn.Seed = sim.DeriveSeed(o.Seed, seedAblationSelect, uint64(g))
-			sys, err := core.New(core.Config{
-				Scenario:      scn,
-				NodeSelection: true,
-				NodeSelect:    nodeSelectCfg(greedy),
-			})
-			if err != nil {
-				return err
-			}
-			rep, err := sys.Run()
-			if err != nil {
-				return err
-			}
-			sum += rep.Final.FER
-		}
-		name := "annealing"
-		if greedy {
-			name = "greedy"
-		}
-		fmt.Fprintf(w, "%-10s node selection: mean FER %.4f over %d groups\n",
-			name, sum/float64(groups), groups)
-	}
-	return nil
 }

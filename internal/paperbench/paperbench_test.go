@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
+
+	"cbma/internal/sim"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -27,7 +30,9 @@ func TestRegistryComplete(t *testing.T) {
 		if all[i].ID != id {
 			t.Errorf("entry %d = %q, want %q", i, all[i].ID, id)
 		}
-		if all[i].Title == "" || all[i].Run == nil {
+		// Exactly one of a point list with its fold, or an own runner.
+		flat := all[i].Points != nil && all[i].print != nil
+		if all[i].Title == "" || flat == (all[i].run != nil) {
 			t.Errorf("entry %q incomplete", all[i].ID)
 		}
 	}
@@ -107,5 +112,95 @@ func TestOptionsDefaults(t *testing.T) {
 	q := Quick()
 	if q.Packets >= d.Packets {
 		t.Error("quick options must be smaller than defaults")
+	}
+}
+
+// TestBadOptionsFail: a non-positive workload count used to print NaN rows
+// (fig9c with no groups, "0/0 trials exact" for userdetect) with a nil
+// error. Every experiment now refuses such options before running.
+func TestBadOptionsFail(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(*Options)
+	}{
+		{"no packets", func(o *Options) { o.Packets = 0 }},
+		{"no groups", func(o *Options) { o.Groups = 0 }},
+		{"negative groups", func(o *Options) { o.Groups = -3 }},
+		{"no trials", func(o *Options) { o.Trials = 0 }},
+		{"no payload", func(o *Options) { o.PayloadBytes = 0 }},
+	}
+	for _, tc := range cases {
+		o := Quick()
+		tc.mod(&o)
+		for _, id := range []string{"fig9c", "userdetect", "ablation-impedance", "fig5"} {
+			e, _ := Find(id)
+			var buf bytes.Buffer
+			if err := e.Run(&buf, o); !errors.Is(err, ErrBadOptions) {
+				t.Errorf("%s, %s: got %v, want ErrBadOptions", tc.name, id, err)
+			}
+			if buf.Len() != 0 {
+				t.Errorf("%s, %s: printed %q before failing", tc.name, id, buf.String())
+			}
+		}
+	}
+}
+
+// TestPowerControlPointsPaired: both arms of a group share placement and
+// seed, and differ only in the power-control switch.
+func TestPowerControlPointsPaired(t *testing.T) {
+	o := Quick()
+	pts, err := powerControlPoints(o.base(), []int{2, 3}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pts) != 2*2*3 {
+		t.Fatalf("%d points, want 12", len(pts))
+	}
+	for k := 0; k < len(pts); k += 2 {
+		off, on := pts[k], pts[k+1]
+		if off.PowerControl || !on.PowerControl {
+			t.Errorf("group %d: arms out of order", k/2)
+		}
+		if off.Seed != on.Seed || off.Deployment.Tags[0] != on.Deployment.Tags[0] {
+			t.Errorf("group %d: arms not paired", k/2)
+		}
+	}
+}
+
+func deploymentScenario() sim.Scenario {
+	scn := sim.DefaultScenario()
+	scn.PayloadBytes = 8
+	scn.NumTags = 3
+	scn.Packets = 16
+	return scn
+}
+
+func TestDeploymentStudyShapes(t *testing.T) {
+	groups := 4
+	if testing.Short() {
+		groups = 2
+	}
+	none, pc, pcns, err := deploymentStudy(deploymentScenario(), groups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(none) != groups || len(pc) != groups || len(pcns) != groups {
+		t.Fatalf("sample counts %d/%d/%d", len(none), len(pc), len(pcns))
+	}
+	for i := range none {
+		for _, v := range []float64{none[i], pc[i], pcns[i]} {
+			if v < 0 || v > 1 {
+				t.Errorf("group %d FER %v out of range", i, v)
+			}
+		}
+	}
+}
+
+func TestDeploymentStudyValidation(t *testing.T) {
+	e, _ := Find("fig10")
+	o := Quick()
+	o.Groups = 0
+	if err := e.Run(&bytes.Buffer{}, o); !errors.Is(err, ErrBadOptions) {
+		t.Fatalf("got %v, want ErrBadOptions", err)
 	}
 }

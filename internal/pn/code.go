@@ -207,6 +207,45 @@ func NewSet(f Family, n int, goldDegree uint) (*Set, error) {
 	}
 }
 
+// ChipLength returns the code length NewSet(f, n, goldDegree) yields,
+// without generating a sequence: 2^degree − 1 for Gold and Kasami (Kasami
+// rounds an odd degree up), 2n for 2NC, and the smallest power of two above
+// n for Walsh. It is cheap enough to bound frame lengths on every scenario
+// validation; NewSet still decides whether the family holds n codes.
+func ChipLength(f Family, n int, goldDegree uint) (int, error) {
+	if n <= 0 {
+		return 0, ErrBadUserNum
+	}
+	if goldDegree == 0 {
+		goldDegree = 5
+	}
+	switch f {
+	case FamilyGold:
+		if _, _, err := PreferredPair(goldDegree); err != nil {
+			return 0, err
+		}
+		return 1<<goldDegree - 1, nil
+	case Family2NC:
+		return 2 * n, nil
+	case FamilyWalsh:
+		size := 2
+		for size <= n {
+			size <<= 1
+		}
+		return size, nil
+	case FamilyKasami:
+		if goldDegree%2 != 0 {
+			goldDegree++
+		}
+		if _, err := PrimitivePoly(goldDegree); err != nil {
+			return 0, err
+		}
+		return 1<<goldDegree - 1, nil
+	default:
+		return 0, fmt.Errorf("pn: unknown code family %v", f)
+	}
+}
+
 // negate returns the chip-wise complement of a unipolar sequence.
 func negate(x []byte) []byte {
 	out := make([]byte, len(x))

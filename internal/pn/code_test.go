@@ -1,6 +1,7 @@
 package pn
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -171,5 +172,29 @@ func TestDiscriminantZeroMeansAgreement(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestChipLengthMatchesNewSet: ChipLength predicts the length of every set
+// NewSet builds, and fails wherever NewSet fails for the degree.
+func TestChipLengthMatchesNewSet(t *testing.T) {
+	for _, f := range []Family{FamilyGold, Family2NC, FamilyWalsh, FamilyKasami} {
+		for degree := uint(0); degree <= 9; degree++ {
+			for n := 1; n <= 9; n++ {
+				got, lerr := ChipLength(f, n, degree)
+				set, serr := NewSet(f, n, degree)
+				switch {
+				case serr == nil && lerr != nil:
+					t.Errorf("%v n=%d degree=%d: ChipLength failed (%v) where NewSet succeeds", f, n, degree, lerr)
+				case serr == nil && got != set.ChipLength():
+					t.Errorf("%v n=%d degree=%d: ChipLength %d, set has %d chips", f, n, degree, got, set.ChipLength())
+				case lerr == nil && serr != nil && !errors.Is(serr, ErrFamilySize):
+					t.Errorf("%v n=%d degree=%d: ChipLength %d where NewSet fails: %v", f, n, degree, got, serr)
+				}
+			}
+		}
+	}
+	if _, err := ChipLength(FamilyGold, 0, 5); !errors.Is(err, ErrBadUserNum) {
+		t.Errorf("zero tags: got %v, want ErrBadUserNum", err)
 	}
 }

@@ -12,6 +12,29 @@ import (
 	"cbma/internal/stats"
 )
 
+// Point is one sweep sample: an X coordinate (distance, power, …) or a
+// condition label, and the metrics measured there.
+type Point struct {
+	X       float64
+	Label   string
+	Metrics sim.Metrics
+}
+
+// Series is a named curve, e.g. "3 tags" in Fig. 8(a).
+type Series struct {
+	Name   string
+	Points []Point
+}
+
+// PowerDiffRow is one row of Table II: a two-tag collision case with the
+// per-tag SNRs, their relative power difference and the measured error rate.
+type PowerDiffRow struct {
+	Case       string
+	SNR1, SNR2 float64 // dB
+	Difference float64 // |P1−P2| / max(P1,P2)
+	ErrorRate  float64
+}
+
 // MetricFn extracts the plotted quantity from a point's metrics.
 type MetricFn func(sim.Metrics) float64
 
@@ -30,7 +53,7 @@ func DetectionFER(m sim.Metrics) float64 { return m.DetectionFER }
 //
 //	distance(m)   2 tags   3 tags   4 tags
 //	      0.10    0.0000   0.0100   0.0150
-func SeriesTable(xLabel string, series []sim.Series, f MetricFn) string {
+func SeriesTable(xLabel string, series []Series, f MetricFn) string {
 	if len(series) == 0 {
 		return "(no data)\n"
 	}
@@ -55,7 +78,7 @@ func SeriesTable(xLabel string, series []sim.Series, f MetricFn) string {
 }
 
 // PointsTable renders labelled single points (Fig. 12's conditions).
-func PointsTable(points []sim.Point, f MetricFn, metricName string) string {
+func PointsTable(points []Point, f MetricFn, metricName string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-26s %10s\n", "condition", metricName)
 	for _, p := range points {
@@ -65,8 +88,8 @@ func PointsTable(points []sim.Point, f MetricFn, metricName string) string {
 }
 
 // PowerDiffTable renders Table II rows sorted by power difference.
-func PowerDiffTable(rows []sim.PowerDiffRow) string {
-	sorted := append([]sim.PowerDiffRow(nil), rows...)
+func PowerDiffTable(rows []PowerDiffRow) string {
+	sorted := append([]PowerDiffRow(nil), rows...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Difference < sorted[j].Difference })
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-6s %9s %9s %11s %10s\n", "case", "SNR1(dB)", "SNR2(dB)", "difference", "error rate")

@@ -7,13 +7,13 @@ import (
 	"cbma/internal/sim"
 )
 
-func sampleSeries() []sim.Series {
-	return []sim.Series{
-		{Name: "2 tags", Points: []sim.Point{
+func sampleSeries() []Series {
+	return []Series{
+		{Name: "2 tags", Points: []Point{
 			{X: 1, Metrics: sim.Metrics{FER: 0.01, PRR: 0.99}},
 			{X: 2, Metrics: sim.Metrics{FER: 0.05, PRR: 0.95}},
 		}},
-		{Name: "3 tags", Points: []sim.Point{
+		{Name: "3 tags", Points: []Point{
 			{X: 1, Metrics: sim.Metrics{FER: 0.02, PRR: 0.98}},
 		}},
 	}
@@ -44,7 +44,7 @@ func TestMetricFns(t *testing.T) {
 }
 
 func TestPointsTable(t *testing.T) {
-	pts := []sim.Point{
+	pts := []Point{
 		{Label: "no interference", Metrics: sim.Metrics{PRR: 0.99}},
 		{Label: "ofdm excitation", Metrics: sim.Metrics{PRR: 0.5}},
 	}
@@ -55,7 +55,7 @@ func TestPointsTable(t *testing.T) {
 }
 
 func TestPowerDiffTableSorted(t *testing.T) {
-	rows := []sim.PowerDiffRow{
+	rows := []PowerDiffRow{
 		{Case: "2", Difference: 0.6, ErrorRate: 0.2, SNR1: 8, SNR2: 4},
 		{Case: "1", Difference: 0.05, ErrorRate: 0.003, SNR1: 5, SNR2: 5},
 	}

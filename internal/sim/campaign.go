@@ -15,8 +15,8 @@ type CampaignOpts struct {
 	// executing points and each engine's steady-state round workers. Zero
 	// selects GOMAXPROCS.
 	Workers int
-	// What labels campaign errors with the harness's purpose (e.g.
-	// "distance sweep").
+	// What labels campaign errors and telemetry with the campaign's purpose
+	// (e.g. the experiment ID "fig8a").
 	What string
 	// Obs, when non-nil, times campaign points, drives the live progress
 	// line, and is attached to every point scenario that does not already
@@ -74,9 +74,9 @@ func (e *CampaignError) Unwrap() []error {
 
 // RunCampaign builds one engine per scenario and runs them all, returning
 // the metrics indexed like points. It is the single execution entry behind
-// runScenario, the sweep harnesses and the paperbench per-point loops: the
-// worker budget is split so points run concurrently first, and — when the
-// budget exceeds the point count — the surplus parallelizes each point's
+// the paperbench experiments and the fault sweeps: the worker budget is
+// split so points run concurrently first, and — when the budget exceeds the
+// point count — the surplus parallelizes each point's
 // steady-state rounds (Scenario.Workers). A point with Workers already set
 // keeps its own value. Results are independent of the budget: each point's
 // metrics depend only on its scenario (see DeriveSeed for per-point seeds),

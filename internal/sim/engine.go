@@ -177,41 +177,9 @@ func NewEngine(scn Scenario) (*Engine, error) {
 		return nil, fmt.Errorf("sim: frame length: %w", err)
 	}
 	e.frameSamples = frameChips * spc
-	spread := e.delaySpreadChips()
-	if err := e.checkDelaySpread(spread); err != nil {
-		return nil, err
-	}
-	e.mixSpan = e.mixSpanFor(spread)
+	// validate has already held the spread to one frame.
+	e.mixSpan = e.mixSpanFor(scn.delaySpreadChips())
 	return e, nil
-}
-
-// delaySpreadChips bounds the widest relative tag delay, in chips, that the
-// scenario's jitter, fixed extra delays and fault-layer clock errors can
-// produce. It is NaN or infinite when any of them is.
-func (e *Engine) delaySpreadChips() float64 {
-	spreadChips := math.Abs(e.scn.JitterChips)
-	var lo, hi float64
-	for i, d := range e.scn.ExtraDelayChips {
-		if i < e.scn.NumTags {
-			lo, hi = min(lo, d), max(hi, d)
-		}
-	}
-	spreadChips += hi - lo
-	if e.inj != nil {
-		p := e.inj.Profile()
-		spreadChips += p.ClockDriftChips + p.ExtraJitterChips
-	}
-	return spreadChips
-}
-
-// checkDelaySpread returns ErrDelaySpread unless spreadChips is at most one
-// frame (a NaN spread fails too).
-func (e *Engine) checkDelaySpread(spreadChips float64) error {
-	limit := e.frameSamples / e.scn.SamplesPerChip()
-	if !(spreadChips <= float64(limit)) {
-		return fmt.Errorf("%w: %g chips, limit %d", ErrDelaySpread, spreadChips, limit)
-	}
-	return nil
 }
 
 // mixSpanFor bounds the mixing-buffer length of any round: the noise lead,

@@ -186,11 +186,7 @@ func TestFERIncreasesWithDistance(t *testing.T) {
 		s := scn
 		s.TagLineDistance = d
 		s.Deployment.Tags = nil
-		m, err := runScenario(s, "distance test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.FER
+		return runPoints(t, []Scenario{s})[0].FER
 	}
 	near, far := run(1.0), run(4.0)
 	if far <= near {
@@ -207,11 +203,7 @@ func TestFERDropsWithTxPower(t *testing.T) {
 		s := scn
 		s.Deployment.Tags = nil
 		s.Channel.TxPowerDBm = p
-		m, err := runScenario(s, "power test")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.FER
+		return runPoints(t, []Scenario{s})[0].FER
 	}
 	weak, strong := run(-5), run(20)
 	if weak <= strong {

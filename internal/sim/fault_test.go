@@ -311,31 +311,26 @@ func TestFaultSweepAckLossMonotone(t *testing.T) {
 	base.PowerControl = true
 	base.RandomInitialImpedance = true
 	rates := []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5}
-	s, err := FaultSweepAckLoss(context.Background(), base, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Points) != len(rates) {
-		t.Fatalf("%d points, want %d", len(s.Points), len(rates))
-	}
+	ms := runPoints(t, FaultSweepPoints(base, rates, func(p *fault.Profile, r float64) {
+		p.AckLossProb = r
+	}))
 	const tol = 0.12
-	for i := 1; i < len(s.Points); i++ {
-		lo, hi := s.Points[i-1], s.Points[i]
-		if hi.Metrics.FER < lo.Metrics.FER-tol {
+	for i := 1; i < len(ms); i++ {
+		if ms[i].FER < ms[i-1].FER-tol {
 			t.Errorf("FER not monotone: %.3f at rate %.2f but %.3f at rate %.2f",
-				lo.Metrics.FER, lo.X, hi.Metrics.FER, hi.X)
+				ms[i-1].FER, rates[i-1], ms[i].FER, rates[i])
 		}
 	}
-	first, last := s.Points[0].Metrics.FER, s.Points[len(s.Points)-1].Metrics.FER
+	first, last := ms[0].FER, ms[len(ms)-1].FER
 	if last < first {
 		t.Errorf("degradation curve ends below its start: %.3f → %.3f", first, last)
 	}
 	if last >= 1 {
 		t.Errorf("degradation is not graceful: FER hit %.3f at 50%% ACK loss", last)
 	}
-	for _, pt := range s.Points[1:] {
-		if pt.Metrics.Faults.AcksLost == 0 {
-			t.Errorf("rate %.2f lost no ACKs — fault layer not wired", pt.X)
+	for i, m := range ms[1:] {
+		if m.Faults.AcksLost == 0 {
+			t.Errorf("rate %.2f lost no ACKs — fault layer not wired", rates[i+1])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 
 	"cbma/internal/channel"
@@ -128,5 +129,33 @@ func TestScenarioHashInvalid(t *testing.T) {
 	scn.NumTags = 0
 	if _, err := scn.Hash(); err == nil {
 		t.Fatal("Hash() of an invalid scenario succeeded, want error")
+	}
+}
+
+// A delay spread longer than one frame used to hash fine and fail only in
+// NewEngine, so cbmad accepted a job it could not run. Hash and NewEngine
+// now refuse it alike, and a spread of exactly one frame passes both.
+func TestScenarioHashRejectsDelaySpread(t *testing.T) {
+	scn := DefaultScenario()
+	scn.ExtraDelayChips = []float64{0, 1e9}
+	if _, err := scn.Hash(); !errors.Is(err, ErrDelaySpread) {
+		t.Errorf("Hash: got %v, want ErrDelaySpread", err)
+	}
+	if _, err := NewEngine(scn); !errors.Is(err, ErrDelaySpread) {
+		t.Errorf("NewEngine: got %v, want ErrDelaySpread", err)
+	}
+	e, err := NewEngine(DefaultScenario())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneFrame := float64(e.frameSamples / e.scn.SamplesPerChip())
+	scn.JitterChips = 0
+	for _, spread := range []float64{oneFrame, oneFrame + 1} {
+		scn.ExtraDelayChips = []float64{0, spread}
+		_, herr := scn.Hash()
+		_, eerr := NewEngine(scn)
+		if (herr == nil) != (spread == oneFrame) || (eerr == nil) != (spread == oneFrame) {
+			t.Errorf("spread %g chips (frame %g): Hash %v, NewEngine %v", spread, oneFrame, herr, eerr)
+		}
 	}
 }

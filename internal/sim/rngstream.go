@@ -102,7 +102,7 @@ func mix64(h uint64, labels ...uint64) uint64 {
 // DeriveSeed deterministically derives a child scenario seed from a base
 // seed and a sequence of labels (sweep identifier, point index, tag
 // count, …). It replaces the additive base.Seed+i+n*1000 arithmetic the
-// sweep harnesses used, which collided across sweeps and across
+// experiment sweeps once used, which collided across sweeps and across
 // (point, tag-count) pairs; distinct label sequences give independent
 // seeds.
 func DeriveSeed(seed int64, labels ...uint64) int64 {

@@ -273,5 +273,43 @@ func (s *Scenario) validate() error {
 	if len(s.Deployment.Tags) < s.NumTags {
 		return fmt.Errorf("%w: %d < %d", ErrNoPositions, len(s.Deployment.Tags), s.NumTags)
 	}
+	// The delay spread must fit in one frame. A frame whose length does not
+	// resolve is left to NewEngine, which reports the framing or code-set
+	// error itself.
+	bits, berr := s.Frame.BitLength(s.PayloadBytes)
+	chips, cerr := pn.ChipLength(s.Family, s.NumTags, s.GoldDegree)
+	if berr == nil && cerr == nil {
+		return checkDelaySpread(s.delaySpreadChips(), bits*chips)
+	}
+	return nil
+}
+
+// delaySpreadChips bounds the widest relative tag delay, in chips, that the
+// scenario's jitter, fixed extra delays and fault-layer clock errors can
+// produce. It is NaN or infinite when any of them is.
+func (s *Scenario) delaySpreadChips() float64 {
+	spread := math.Abs(s.JitterChips)
+	var lo, hi float64
+	for i, d := range s.ExtraDelayChips {
+		if i < s.NumTags {
+			lo, hi = min(lo, d), max(hi, d)
+		}
+	}
+	spread += hi - lo
+	if s.Fault != nil {
+		if p := s.Fault.WithDefaults(); p.Enabled() {
+			spread += p.ClockDriftChips + p.ExtraJitterChips
+		}
+	}
+	return spread
+}
+
+// checkDelaySpread returns ErrDelaySpread unless spreadChips is at most one
+// frame of frameChips chips (a NaN spread fails too). Scenario validation —
+// hence Hash and NewEngine — and trace replay share this one limit.
+func checkDelaySpread(spreadChips float64, frameChips int) error {
+	if !(spreadChips <= float64(frameChips)) {
+		return fmt.Errorf("%w: %g chips, limit %d", ErrDelaySpread, spreadChips, frameChips)
+	}
 	return nil
 }

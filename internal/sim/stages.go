@@ -217,7 +217,7 @@ func (e *Engine) buildTransmissions(active []*tag.Tag, rs *roundStreams, a *roun
 				minDelay = tx.delays[i]
 			}
 		}
-		if err := e.checkDelaySpread(hi - lo); err != nil {
+		if err := checkDelaySpread(hi-lo, e.frameSamples/spc); err != nil {
 			return tx, fmt.Errorf("%w (replayed round %d)", err, replay.Seq)
 		}
 	}
