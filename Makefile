@@ -36,9 +36,9 @@ bench:
 # allocations in the build and mix stages, a pinned bound per round, and
 # pooled-arena reuse equal to fresh arenas. Allocation counts are
 # deterministic, so a failure here is a regression, not noise. Runs without
-# -race, which perturbs sync.Pool and allocation counts.
+# -race, which perturbs allocation counts.
 alloc-test:
-	go test -count=1 -run 'TestSteadyRoundAllocs|TestArenaReuseEquivalence|TestMetricsGolden' ./internal/sim/
+	go test -count=1 -run 'TestSteadyRoundAllocs|TestArenaReuseEquivalence|TestFreshArenaEquivalence|TestMetricsGolden' ./internal/sim/
 
 # The campaign-service layers and daemon under the race detector (the
 # cbmad e2e equivalence test runs real campaigns; see DESIGN.md,

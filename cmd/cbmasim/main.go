@@ -422,7 +422,8 @@ func run(ctx context.Context, args []string) error {
 // runFaultSweep runs the error-rate-versus-fault-rate curve for one knob
 // through run — in-process or the sharded coordinator; both execute the
 // same cbma.FaultSweepPoints, so the curve is bit-identical — and prints it
-// as a table. An interrupt flushes the points finished so far. A partial
+// as a table. An interrupt flushes the points finished so far and marks the
+// ones it stopped before their first round as not run. A partial
 // failure (*cbma.CampaignError) still prints the healthy points' rows —
 // failed points are marked in the table, every per-point error is listed,
 // and the error propagates so the process exits non-zero instead of
@@ -465,6 +466,12 @@ func runFaultSweep(ctx context.Context, base cbma.Scenario, knob string, rates [
 	for i, m := range ms {
 		if failed[i] {
 			fmt.Printf("  %-8.3f %-8s %-14s %s\n", rates[i], "-", "-", "FAILED (see below)")
+			continue
+		}
+		if m.RoundsExecuted == 0 && m.RoundsQuarantined == 0 {
+			// An interrupt stopped the campaign before this point ran a
+			// round: its zero Metrics are no measurement.
+			fmt.Printf("  %-8.3f %-8s %-14s %s\n", rates[i], "-", "-", "not run")
 			continue
 		}
 		degr := "-"

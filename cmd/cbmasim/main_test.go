@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,4 +135,54 @@ func TestParseRates(t *testing.T) {
 	if _, err := parseRates("0.1,zap"); err == nil {
 		t.Error("malformed rate must error")
 	}
+}
+
+// TestFaultSweepMarksUnrunPoints pins the interrupted fault sweep's table:
+// a point the campaign never started is printed as not run, not as a
+// measured 0/0 row indistinguishable from a fault-free point.
+func TestFaultSweepMarksUnrunPoints(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	run := func(ctx context.Context, pts []cbma.Scenario, _ cbma.CampaignOpts) ([]cbma.Metrics, error) {
+		ms := make([]cbma.Metrics, len(pts))
+		ms[0] = cbma.Metrics{RoundsPlanned: 4, RoundsExecuted: 4, FramesSent: 8, FramesDelivered: 8}
+		return ms, ctx.Err()
+	}
+	base := cbma.DefaultScenario()
+	out := captureStdout(t, func() {
+		if err := runFaultSweep(ctx, base, "ack-loss", []float64{0, 0.2, 0.4}, run); !errors.Is(err, context.Canceled) {
+			t.Errorf("runFaultSweep = %v, want context.Canceled", err)
+		}
+	})
+	if strings.Contains(out, "0/0") {
+		t.Errorf("unrun points printed as measured rows:\n%s", out)
+	}
+	if got := strings.Count(out, "not run"); got != 2 {
+		t.Errorf("%d rows marked not run, want 2:\n%s", got, out)
+	}
+	if !strings.Contains(out, "8/8") {
+		t.Errorf("the measured point's row is missing:\n%s", out)
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	defer func() {
+		os.Stdout = stdout
+	}()
+	f()
+	w.Close()
+	return string(<-done)
 }

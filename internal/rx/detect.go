@@ -293,8 +293,9 @@ func (r *Receiver) refineEdge(power []float64, coarse int, noiseW float64) int {
 // ±SearchChips chips of the global alignment and reports the best normalized
 // correlation magnitude. When sw is non-nil the per-lag correlations come
 // from the precomputed frequency-domain sweep; the detection statistics at
-// the chosen lag are always recomputed with the direct dot product, so the
-// reported corr/phasor/CFAR values are path-independent.
+// the chosen lag always come from the direct dot product (the lag loop's
+// own, or recomputed after the sweep), so the reported corr/phasor/CFAR
+// values are path-independent.
 //
 // The per-user metric is coherent — |Σ x·tmpl| normalized by the window and
 // template energies — because the envelope correlation dilutes as 1/√N with
@@ -348,41 +349,48 @@ func (r *Receiver) detectUser(sw *sweep, env []float64, x []complex128, id, glob
 	if tmplEnergy == 0 {
 		return detection{}, false
 	}
+	// The direct loops keep the coherent dot at the lag they choose; the
+	// sweep's FFT value is only rounding-close, so that path recomputes it.
 	bestLag := -1
+	var dot complex128
 	if sw != nil {
 		bestLag = r.pickLagFromSweep(sw, id)
+		if bestLag >= 0 {
+			dot = complexRealDot(x[bestLag:bestLag+len(tmpl)], tmpl)
+		}
 	} else if r.sparse[id] {
 		bestEnv := 0.0
 		cohLag, cohBest := -1, -1.0
+		var cohDot complex128
 		for lag := lo; lag <= hi; lag++ {
 			e, err := dsp.DotReal(env[lag:lag+len(tmpl)], tmpl)
 			if err != nil {
 				return detection{}, false
 			}
+			d := complexRealDot(x[lag:lag+len(tmpl)], tmpl)
 			if e > bestEnv {
-				bestLag, bestEnv = lag, e
+				bestLag, bestEnv, dot = lag, e, d
 			}
-			dot := complexRealDot(x[lag:lag+len(tmpl)], tmpl)
-			if m := real(dot)*real(dot) + imag(dot)*imag(dot); m > cohBest {
-				cohLag, cohBest = lag, m
+			if m := real(d)*real(d) + imag(d)*imag(d); m > cohBest {
+				cohLag, cohBest, cohDot = lag, m, d
 			}
 		}
 		if bestLag < 0 {
-			bestLag = cohLag // no positive envelope peak: fall back to coherent
+			// No positive envelope peak: fall back to coherent.
+			bestLag, dot = cohLag, cohDot
 		}
 	} else {
 		cohBest := -1.0
 		for lag := lo; lag <= hi; lag++ {
-			dot := complexRealDot(x[lag:lag+len(tmpl)], tmpl)
-			if m := real(dot)*real(dot) + imag(dot)*imag(dot); m > cohBest {
-				bestLag, cohBest = lag, m
+			d := complexRealDot(x[lag:lag+len(tmpl)], tmpl)
+			if m := real(d)*real(d) + imag(d)*imag(d); m > cohBest {
+				bestLag, cohBest, dot = lag, m, d
 			}
 		}
 	}
 	if bestLag < 0 {
 		return detection{}, false
 	}
-	dot := complexRealDot(x[bestLag:bestLag+len(tmpl)], tmpl)
 	winE := dsp.Energy(x[bestLag : bestLag+len(tmpl)])
 	if winE == 0 {
 		return detection{}, false

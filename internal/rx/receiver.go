@@ -172,10 +172,11 @@ type Receiver struct {
 
 // Scratch is the working storage of one receive call: instantaneous power
 // and envelope of the buffer, per-code correlation rows for the alignment
-// and detection sweeps, the SIC residual buffers, and the fast sync path's
-// power prefix sums (every moving-window statistic of the sync stage reads
-// them in O(1)) and chip-rate decimated envelope. Every buffer is resized
-// and then fully overwritten (or zeroed) by the call that uses it, so a
+// and detection sweeps, the SIC loop's residual and joint-fit system, and
+// the fast sync path's power prefix sums (every moving-window statistic of
+// the sync stage reads them in O(1)) and chip-rate decimated envelope.
+// Every buffer is resized and then fully overwritten (or zeroed) by the
+// call that uses it, so a
 // Scratch carries no state between calls and one value may serve any
 // sequence of receivers, whatever their code sets or buffer lengths. The
 // zero value is ready to use; a Scratch must not be used by two calls at
@@ -189,9 +190,7 @@ type Scratch struct {
 	envRows     [][]float64
 	cohRows     [][]complex128
 	sweep       sweep
-	sicWork     []complex128
-	sicEnv      []float64
-	sicChips    [][]byte
+	sic         sicState
 }
 
 // New builds a receiver and precomputes the per-code correlation templates.

@@ -18,7 +18,7 @@ func TestSolveComplexKnownSystem(t *testing.T) {
 	// [2 1; 1 3]·a = [5+1i; 10-2i] → a = [1+1i, 3-1i]
 	g := [][]float64{{2, 1}, {1, 3}}
 	b := []complex128{5 + 1i, 10 - 2i}
-	a, ok := solveComplex(g, b)
+	a, ok := solveFresh(g, b)
 	if !ok {
 		t.Fatal("solver failed")
 	}
@@ -33,7 +33,7 @@ func TestSolveComplexKnownSystem(t *testing.T) {
 func TestSolveComplexSingular(t *testing.T) {
 	g := [][]float64{{1, 1}, {1, 1}}
 	b := []complex128{1, 1}
-	if _, ok := solveComplex(g, b); ok {
+	if _, ok := solveFresh(g, b); ok {
 		t.Fatal("singular system must report failure")
 	}
 }
@@ -48,7 +48,7 @@ func TestSolveComplexIdentity(t *testing.T) {
 		g[i][i] = 1
 		b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 	}
-	a, ok := solveComplex(g, b)
+	a, ok := solveFresh(g, b)
 	if !ok {
 		t.Fatal("identity solve failed")
 	}
@@ -56,6 +56,168 @@ func TestSolveComplexIdentity(t *testing.T) {
 		if a[i] != b[i] {
 			t.Errorf("a[%d] = %v, want %v", i, a[i], b[i])
 		}
+	}
+}
+
+// oracleUser is one accepted user as the from-scratch fit sees it: a 0/1
+// chip stream starting at sample lag.
+type oracleUser struct {
+	lag   int
+	chips []byte
+}
+
+// oracleFit is the from-scratch joint fit that sicState replaces: it builds
+// G and b for every accepted user by walking each user's chips and testing
+// every later user per sample, O(k²·N) per call.
+func oracleFit(x []complex128, users []oracleUser, spc int) ([][]float64, []complex128) {
+	k := len(users)
+	g := make([][]float64, k)
+	b := make([]complex128, k)
+	for i := range g {
+		g[i] = make([]float64, k)
+	}
+	// onAt reports whether user u is reflecting at absolute sample t.
+	onAt := func(u int, t int) bool {
+		rel := t - users[u].lag
+		if rel < 0 {
+			return false
+		}
+		c := rel / spc
+		if c >= len(users[u].chips) {
+			return false
+		}
+		return users[u].chips[c] == 1
+	}
+	for i := 0; i < k; i++ {
+		ui := users[i]
+		for c, chip := range ui.chips {
+			if chip == 0 {
+				continue
+			}
+			base := ui.lag + c*spc
+			for s := 0; s < spc; s++ {
+				t := base + s
+				if t < 0 || t >= len(x) {
+					continue
+				}
+				b[i] += x[t]
+				g[i][i]++
+				for j := i + 1; j < k; j++ {
+					if onAt(j, t) {
+						g[i][j]++
+						g[j][i]++
+					}
+				}
+			}
+		}
+	}
+	return g, b
+}
+
+// oracleResidual rebuilds the whole residual from the samples, subtracting
+// each user's amplitude over its active chips, users in ascending order.
+func oracleResidual(x []complex128, users []oracleUser, spc int, amps []complex128) []complex128 {
+	work := append([]complex128(nil), x...)
+	for u, us := range users {
+		for c, chip := range us.chips {
+			if chip == 0 {
+				continue
+			}
+			for s := 0; s < spc; s++ {
+				if t := us.lag + c*spc + s; t >= 0 && t < len(work) {
+					work[t] -= amps[u]
+				}
+			}
+		}
+	}
+	return work
+}
+
+// solveFresh solves g·a = b on copies, leaving g and b intact.
+func solveFresh(g [][]float64, b []complex128) ([]complex128, bool) {
+	m := make([][]float64, len(g))
+	for i := range m {
+		m[i] = append([]float64(nil), g[i]...)
+	}
+	out := make([]complex128, len(b))
+	if !solveComplex(m, append([]complex128(nil), b...), out) {
+		return nil, false
+	}
+	return out, true
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestIncrementalFitMatchesOracle grows random accepted sets one user at a
+// time — lags before the buffer start, runs past its end, users wholly
+// outside it, dense and sparse chip streams — and requires the incremental
+// G, b, amplitudes and residual to equal the from-scratch oracle's bit for
+// bit after every acceptance. One sicState serves every trial, as one
+// Scratch serves every round.
+func TestIncrementalFitMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var st sicState
+	solved := 0
+	for trial := 0; trial < 300; trial++ {
+		spc := []int{1, 2, 4, 8}[rng.Intn(4)]
+		n := 50 + rng.Intn(400)
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		work := append([]complex128(nil), x...)
+		st.reset(n)
+		var users []oracleUser
+		for k := 1 + rng.Intn(10); len(users) < k; {
+			chips := make([]byte, 1+rng.Intn(2*n/spc))
+			density := []float64{0.1, 0.5, 0.9}[rng.Intn(3)]
+			for c := range chips {
+				if rng.Float64() < density {
+					chips[c] = 1
+				}
+			}
+			lag := rng.Intn(n+2*len(chips)*spc) - len(chips)*spc
+			users = append(users, oracleUser{lag: lag, chips: chips})
+			st.accept(x, lag, chips, spc)
+
+			g, b := oracleFit(x, users, spc)
+			for i := range g {
+				for j := range g[i] {
+					if got := st.g[i][j]; math.Float64bits(got) != math.Float64bits(g[i][j]) {
+						t.Fatalf("trial %d, k=%d: G[%d][%d] = %v, oracle %v", trial, len(users), i, j, got, g[i][j])
+					}
+				}
+				if !sameBits(st.b[i], b[i]) {
+					t.Fatalf("trial %d, k=%d: b[%d] = %v, oracle %v", trial, len(users), i, st.b[i], b[i])
+				}
+			}
+			want, wantOK := solveFresh(g, b)
+			amps, ok := st.solve()
+			if ok != wantOK {
+				t.Fatalf("trial %d, k=%d: solve ok=%v, oracle %v", trial, len(users), ok, wantOK)
+			}
+			if !ok {
+				continue
+			}
+			solved++
+			for i := range want {
+				if !sameBits(amps[i], want[i]) {
+					t.Fatalf("trial %d, k=%d: amp[%d] = %v, oracle %v", trial, len(users), i, amps[i], want[i])
+				}
+			}
+			st.cancel(work, x, amps)
+			for i, v := range oracleResidual(x, users, spc, want) {
+				if !sameBits(work[i], v) {
+					t.Fatalf("trial %d, k=%d: residual[%d] = %v, oracle %v", trial, len(users), i, work[i], v)
+				}
+			}
+		}
+	}
+	if solved < 300 {
+		t.Errorf("only %d solvable fits: the generator exercises too few", solved)
 	}
 }
 

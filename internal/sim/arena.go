@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 
 	"cbma/internal/rx"
@@ -43,15 +44,40 @@ type roundArena struct {
 }
 
 // arenaPool recycles round arenas across runs, engines and campaign
-// points.
-var arenaPool = sync.Pool{New: func() any { return new(roundArena) }}
+// points. It is a free list, not a sync.Pool: a pooled arena that the GC
+// clears, or that lands in another P's private slot, is rebuilt at its next
+// borrow, regrowing every buffer a round needs. It keeps at most GOMAXPROCS
+// arenas, one per goroutine that can run rounds at once; arenas returned
+// beyond that go to the GC.
+var arenaPool struct {
+	mu   sync.Mutex
+	free []*roundArena
+}
 
-// getArena borrows an arena; return it with putArena.
-func getArena() *roundArena { return arenaPool.Get().(*roundArena) }
+// getArena borrows the most recently returned arena, or a new one; return
+// it with putArena.
+func getArena() *roundArena {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	n := len(arenaPool.free)
+	if n == 0 {
+		return new(roundArena)
+	}
+	a := arenaPool.free[n-1]
+	arenaPool.free[n-1] = nil
+	arenaPool.free = arenaPool.free[:n-1]
+	return a
+}
 
 // putArena returns a borrowed arena. The caller must hold no reference into
 // it afterwards.
-func putArena(a *roundArena) { arenaPool.Put(a) }
+func putArena(a *roundArena) {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	if len(arenaPool.free) < runtime.GOMAXPROCS(0) {
+		arenaPool.free = append(arenaPool.free, a)
+	}
+}
 
 // streams returns the stream node of one round, backed by the arena's
 // generators.

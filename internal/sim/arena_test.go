@@ -64,13 +64,43 @@ func TestArenaReuseEquivalence(t *testing.T) {
 	}
 }
 
+// TestFreshArenaEquivalence runs the golden shape matrix twice: once in
+// sequence, so each shape borrows the arena the shape before it warmed, and
+// once with the free list emptied before every shape, so each runs on a
+// newly built arena. The free list outlives garbage collections, so this is
+// the fresh-arena reference the campaign orders of TestArenaReuseEquivalence
+// reduce to.
+func TestFreshArenaEquivalence(t *testing.T) {
+	shapes := goldenShapes()
+	warm := make([]string, len(shapes))
+	for i, g := range shapes {
+		warm[i] = metricsDigest(t, runGoldenShape(t, g))
+	}
+	for i, g := range shapes {
+		drainArenas()
+		if got := metricsDigest(t, runGoldenShape(t, g)); got != warm[i] {
+			t.Errorf("shape %s: fresh-arena digest %s, warm-arena %s", g.name, got, warm[i])
+		}
+	}
+}
+
+// drainArenas empties the arena free list, so the next borrow builds a new
+// arena.
+func drainArenas() {
+	arenaPool.mu.Lock()
+	defer arenaPool.mu.Unlock()
+	arenaPool.free = nil
+}
+
 // TestSteadyRoundAllocs pins the allocation profile of a steady-state round
 // on a warm arena. The build and mix stages allocate nothing for any shape;
-// a whole round of a plain (non-SIC, fault-free) shape allocates at most
+// a whole round of a fault-free shape, SIC included, allocates at most
 // 3+NumTags times — the receiver's frame list, one payload copy per
 // decoded frame and the delivered/acked index lists, all of which the
-// result hands to the caller. Allocation
-// counts are deterministic, so this fails on any regression.
+// result hands to the caller. The SIC loop's joint fit, residual and
+// accepted set live in the arena's receiver scratch, so its allocations do
+// not grow with the number of users it cancels. Allocation counts are
+// deterministic, so this fails on any regression.
 func TestSteadyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -108,7 +138,7 @@ func TestSteadyRoundAllocs(t *testing.T) {
 			if stages != 0 {
 				t.Errorf("build+mix allocate %v times per round, want 0", stages)
 			}
-			if e.scn.SIC || e.inj != nil {
+			if e.inj != nil {
 				return
 			}
 			round := testing.AllocsPerRun(10, func() {

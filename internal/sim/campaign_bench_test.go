@@ -46,6 +46,43 @@ func BenchmarkCampaignFig8a(b *testing.B) {
 	}
 }
 
+// denseSICPoints is perfbench's dense-sic grid: Gold-127, 6/8/10 tags ×
+// 0.5/1.5/2.5 m, SIC on, 8-byte payloads, 5 packets per point — the
+// receiver-heavy workload, where the SIC loop dominates decode time.
+func denseSICPoints() []Scenario {
+	base := DefaultScenario()
+	base.GoldDegree = 7
+	base.PayloadBytes = 8
+	base.Packets = 5
+	base.SIC = true
+	var points []Scenario
+	for ti, n := range []int{6, 8, 10} {
+		for di, d := range []float64{0.5, 1.5, 2.5} {
+			scn := base
+			scn.NumTags = n
+			scn.TagLineDistance = d
+			scn.Deployment.Tags = nil
+			scn.Seed = DeriveSeed(base.Seed, seedDenseSIC, uint64(ti), uint64(di))
+			points = append(points, scn)
+		}
+	}
+	return points
+}
+
+// seedDenseSIC labels denseSICPoints' seeds, clear of the figure labels.
+const seedDenseSIC uint64 = 0xde5c
+
+// BenchmarkCampaignDenseSIC measures the dense-sic grid as one campaign at
+// one worker, so its time is the SIC receiver's, not the scheduler's.
+func BenchmarkCampaignDenseSIC(b *testing.B) {
+	points := denseSICPoints()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunCampaign(points, CampaignOpts{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkRoundsSingleEngine isolates the per-engine round parallelism:
 // one scenario, rounds fanned across Engine workers.
 func BenchmarkRoundsSingleEngine(b *testing.B) {

@@ -21,10 +21,17 @@ type UserDetectionResult struct {
 	Accuracy float64
 }
 
+// ErrBadTrials rejects a user-detection run without trials, whose accuracy
+// would be 0/0.
+var ErrBadTrials = errors.New("sim: trial count must be positive")
+
 // UserDetection reproduces §VII-B2: a group of groupSize tags, a random
 // subset active per trial; the receiver must report exactly the active
 // subset. The paper measures 99.9% accuracy over 1000 trials with 10 tags.
 func UserDetection(base Scenario, groupSize, trials int) (UserDetectionResult, error) {
+	if trials <= 0 {
+		return UserDetectionResult{}, ErrBadTrials
+	}
 	scn := base
 	scn.NumTags = groupSize
 	scn.Deployment.Tags = nil

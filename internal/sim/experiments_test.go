@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -154,6 +155,15 @@ func TestUserDetectionAccuracy(t *testing.T) {
 	}
 	if res.Accuracy < 0.9 {
 		t.Errorf("10-tag user detection accuracy %v, paper reports 99.9%%", res.Accuracy)
+	}
+}
+
+func TestUserDetectionRejectsNoTrials(t *testing.T) {
+	for _, trials := range []int{0, -3} {
+		res, err := UserDetection(fastScenario(), 10, trials)
+		if !errors.Is(err, ErrBadTrials) {
+			t.Errorf("trials=%d: got %+v, %v; want ErrBadTrials", trials, res, err)
+		}
 	}
 }
 
